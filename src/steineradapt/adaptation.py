@@ -244,9 +244,7 @@ def health_metrics(tree: SteinerTree) -> HealthReport:
 
 
 def _shifted_tree(tree: SteinerTree, frag: np.ndarray, ds: np.ndarray) -> SteinerTree:
-    t = tree.terminal_array() + frag.reshape(-1, 2)
-    s = tree.steiner_array() + ds.reshape(-1, 2)
-    return SteinerTree.from_arrays(tree.topology, t, s)
+    return SteinerTree.from_arrays(tree.topology, tree.t_vector() + frag, tree.s_vector() + ds)
 
 
 def adapt_single(
@@ -309,13 +307,14 @@ def adapt_stepwise(tree: SteinerTree, p: Perturbation, policy: StepPolicy | None
 
     healthy_start = initial_health.positive_definite and initial_health.hessian_condition <= policy.condition_limit
     if not healthy_start:
+        degenerate = initial_health.min_edge_length <= COINCIDENT_THRESHOLD
         return AdaptationReport(
             initial_tree=tree,
             initial_health=initial_health,
             initial_length=initial_length,
             steps=(),
             final_tree=tree,
-            status=AdaptationStatus.ABORTED_ILL_CONDITIONED,
+            status=AdaptationStatus.ABORTED_DEGENERATE_EDGE if degenerate else AdaptationStatus.ABORTED_ILL_CONDITIONED,
         )
 
     total = np.array(p.delta_t, dtype=float)
@@ -329,8 +328,11 @@ def adapt_stepwise(tree: SteinerTree, p: Perturbation, policy: StepPolicy | None
         frag = _next_fragment(remaining, policy, current, total, done)
         try:
             ds = first_order_delta_s(current, Perturbation(frag))
-        except (IllConditionedError, DegenerateEdgeError):
+        except IllConditionedError:
             status = AdaptationStatus.ABORTED_ILL_CONDITIONED
+            break
+        except DegenerateEdgeError:
+            status = AdaptationStatus.ABORTED_DEGENERATE_EDGE
             break
         new_tree = _shifted_tree(current, frag, ds)
         if policy.mode is AdaptationMode.CORRECTED and tree.k > 0:
@@ -352,7 +354,7 @@ def adapt_stepwise(tree: SteinerTree, p: Perturbation, policy: StepPolicy | None
         )
         current = new_tree
         applied = applied + frag
-        if health.min_edge_length < min_edge_floor:
+        if health.min_edge_length < min_edge_floor or health.min_edge_length <= COINCIDENT_THRESHOLD:
             status = AdaptationStatus.ABORTED_DEGENERATE_EDGE
             break
         if not health.positive_definite or health.hessian_condition > policy.condition_limit:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateEdgeError
-from .trees import COINCIDENT_THRESHOLD, NodeRef, SteinerTree
+from .trees import COINCIDENT_THRESHOLD, NodeRef, SteinerTree, nondegenerate_edge_vectors
 
 
 @dataclass(frozen=True)
@@ -70,56 +70,22 @@ def edge_projection(u) -> np.ndarray:
 
     Symmetric, nonnegative definite, rank 1, and annihilates ``u``.
     """
-    u = np.asarray(u, dtype=float).reshape(2)
-    d = float(np.hypot(u[0], u[1]))
-    if d <= COINCIDENT_THRESHOLD:
-        raise DegenerateEdgeError(f"degenerate edge: |u| = {d:.3e}")
-    return (np.eye(2) - np.outer(u, u) / (d * d)) / d
+    u = np.asarray(u, dtype=float).reshape(1, 2)
+    d = np.hypot(u[:, 0], u[:, 1])
+    if d[0] <= COINCIDENT_THRESHOLD:
+        raise DegenerateEdgeError(f"degenerate edge: |u| = {d[0]:.3e}")
+    return _projections(u, d)[0]
 
 
-def _projection_stack(u: np.ndarray) -> np.ndarray:
-    """Vectorized edge_projection over rows of ``u`` (shape (E, 2) -> (E, 2, 2))."""
-    d = np.linalg.norm(u, axis=1)
-    if u.shape[0] and float(d.min()) <= COINCIDENT_THRESHOLD:
-        e = int(np.argmin(d))
-        raise DegenerateEdgeError(f"degenerate edge: row {e} has |u| = {d[e]:.3e}")
+def _projections(u: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`edge_projection` of every row of ``u`` (shape (E, 2) -> (E, 2, 2))."""
     outer = u[:, :, None] * u[:, None, :]
-    eye = np.broadcast_to(np.eye(2), outer.shape)
-    return (eye - outer / (d * d)[:, None, None]) / d[:, None, None]
-
-
-def _edge_arrays(tree: SteinerTree):
-    """Index arrays and position arrays for the Steiner-relevant edges."""
-    ts = sorted(tree.topology.edges_TS)
-    ss = sorted(tree.topology.edges_S)
-    t = tree.terminal_array()
-    s = tree.steiner_array()
-    ts_t = np.array([j for j, _ in ts], dtype=int)
-    ts_s = np.array([i for _, i in ts], dtype=int)
-    ss_m = np.array([m for m, _ in ss], dtype=int)
-    ss_l = np.array([l for _, l in ss], dtype=int)
-    return t, s, ts_t, ts_s, ss_m, ss_l
+    return (np.eye(2) - outer / (lengths * lengths)[:, None, None]) / lengths[:, None, None]
 
 
 def cost(tree: SteinerTree) -> float:
     """Total edge length of the tree; rejects degenerate edges."""
-    total = 0.0
-    t = tree.terminal_array()
-    s = tree.steiner_array()
-    for a, b in tree.topology.edges_T:
-        total += _checked_length(t[a] - t[b], f"t{a}-t{b}")
-    for j, i in tree.topology.edges_TS:
-        total += _checked_length(s[i] - t[j], f"t{j}-s{i}")
-    for m, l in tree.topology.edges_S:
-        total += _checked_length(s[m] - s[l], f"s{m}-s{l}")
-    return total
-
-
-def _checked_length(u: np.ndarray, name: str) -> float:
-    d = float(np.hypot(u[0], u[1]))
-    if d <= COINCIDENT_THRESHOLD:
-        raise DegenerateEdgeError(f"degenerate edge {name}: length {d:.3e}")
-    return d
+    return float(nondegenerate_edge_vectors(tree)[1].sum())
 
 
 def gradient_s(tree: SteinerTree) -> np.ndarray:
@@ -129,25 +95,12 @@ def gradient_s(tree: SteinerTree) -> np.ndarray:
     from each neighbor toward ``i``; at a fixed-topology optimum it
     vanishes.
     """
-    t, s, ts_t, ts_s, ss_m, ss_l = _edge_arrays(tree)
-    g = np.zeros((tree.k, 2))
-    if ts_t.size:
-        u = s[ts_s] - t[ts_t]
-        d = np.linalg.norm(u, axis=1)
-        _reject_degenerate(d)
-        np.add.at(g, ts_s, u / d[:, None])
-    if ss_m.size:
-        u = s[ss_m] - s[ss_l]
-        d = np.linalg.norm(u, axis=1)
-        _reject_degenerate(d)
-        np.add.at(g, ss_m, u / d[:, None])
-        np.add.at(g, ss_l, -u / d[:, None])
-    return g.reshape(-1)
-
-
-def _reject_degenerate(d: np.ndarray) -> None:
-    if d.size and float(d.min()) <= COINCIDENT_THRESHOLD:
-        raise DegenerateEdgeError(f"degenerate edge: length {float(d.min()):.3e}")
+    plan = tree.topology.plan
+    u, lengths = nondegenerate_edge_vectors(tree)
+    unit = u / lengths[:, None]
+    g = np.zeros((tree.n + tree.k, 2))
+    np.add.at(g, np.concatenate((plan.head, plan.tail)), np.concatenate((unit, -unit)))
+    return g[tree.n :].reshape(-1)
 
 
 def hessian_ss(tree: SteinerTree) -> BlockMatrix2:
@@ -158,25 +111,17 @@ def hessian_ss(tree: SteinerTree) -> BlockMatrix2:
     negated projection of their connecting edge. Non-adjacent pairs are
     absent (zero).
     """
-    t, s, ts_t, ts_s, ss_m, ss_l = _edge_arrays(tree)
-    blocks: dict[tuple[int, int], np.ndarray] = {i: np.zeros((2, 2)) for i in range(tree.k)}
-    diag = {i: np.zeros((2, 2)) for i in range(tree.k)}
-    if ts_t.size:
-        proj = _projection_stack(s[ts_s] - t[ts_t])
-        for e, i in enumerate(ts_s):
-            diag[int(i)] += proj[e]
-    off: dict[tuple[int, int], np.ndarray] = {}
-    if ss_m.size:
-        proj = _projection_stack(s[ss_m] - s[ss_l])
-        for e in range(len(ss_m)):
-            m, l = int(ss_m[e]), int(ss_l[e])
-            diag[m] += proj[e]
-            diag[l] += proj[e]
-            off[(m, l)] = -proj[e]
-            off[(l, m)] = -proj[e]
-    blocks = {(i, i): b for i, b in diag.items()}
-    blocks.update(off)
-    return BlockMatrix2(tree.k, tree.k, blocks)
+    n, k, plan = tree.n, tree.k, tree.topology.plan
+    proj = _projections(*nondegenerate_edge_vectors(tree))
+    ss = plan.steiner_steiner
+    diag = np.zeros((k, 2, 2))
+    np.add.at(diag, plan.head[plan.steiner_edges] - n, proj[plan.steiner_edges])
+    np.add.at(diag, plan.tail[ss] - n, proj[ss])
+    blocks = {(i, i): diag[i] for i in range(k)}
+    for m, l, p in zip((plan.tail[ss] - n).tolist(), (plan.head[ss] - n).tolist(), proj[ss]):
+        blocks[(m, l)] = -p
+        blocks[(l, m)] = -p
+    return BlockMatrix2(k, k, blocks)
 
 
 def mixed_ts(tree: SteinerTree) -> BlockMatrix2:
@@ -185,13 +130,11 @@ def mixed_ts(tree: SteinerTree) -> BlockMatrix2:
     Block (i, j) is the negated edge projection of the terminal-Steiner
     edge between them when such an edge exists, and absent otherwise.
     """
-    t, s, ts_t, ts_s, ss_m, ss_l = _edge_arrays(tree)
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    if ts_t.size:
-        proj = _projection_stack(s[ts_s] - t[ts_t])
-        for e in range(len(ts_t)):
-            blocks[(int(ts_s[e]), int(ts_t[e]))] = -proj[e]
-    return BlockMatrix2(tree.k, tree.n, blocks)
+    n, plan = tree.n, tree.topology.plan
+    proj = _projections(*nondegenerate_edge_vectors(tree))
+    ts = plan.terminal_steiner
+    blocks = {(i - n, j): -p for j, i, p in zip(plan.tail[ts].tolist(), plan.head[ts].tolist(), proj[ts])}
+    return BlockMatrix2(tree.k, n, blocks)
 
 
 def edge_terms(tree: SteinerTree) -> list[EdgeTerm]:
@@ -201,36 +144,14 @@ def edge_terms(tree: SteinerTree) -> list[EdgeTerm]:
     Each term is nonnegative definite, which is what makes the assembled
     Hessian nonnegative definite before any angle argument is invoked.
     """
-    t, s, ts_t, ts_s, ss_m, ss_l = _edge_arrays(tree)
-    k = tree.k
+    n, k, plan = tree.n, tree.k, tree.topology.plan
+    proj = _projections(*nondegenerate_edge_vectors(tree))
     terms: list[EdgeTerm] = []
-    if ts_t.size:
-        proj = _projection_stack(s[ts_s] - t[ts_t])
-        for e in range(len(ts_t)):
-            i = int(ts_s[e])
-            contribution = BlockMatrix2(k, k, {(i, i): proj[e].copy()})
-            terms.append(
-                EdgeTerm(
-                    kind=EdgeTermKind.TERMINAL_STEINER,
-                    edge=(NodeRef.terminal(int(ts_t[e])), NodeRef.steiner(i)),
-                    contribution=contribution,
-                )
-            )
-    if ss_m.size:
-        proj = _projection_stack(s[ss_m] - s[ss_l])
-        for e in range(len(ss_m)):
-            m, l = int(ss_m[e]), int(ss_l[e])
-            a = proj[e]
-            contribution = BlockMatrix2(
-                k,
-                k,
-                {(m, m): a.copy(), (l, l): a.copy(), (m, l): -a, (l, m): -a.copy()},
-            )
-            terms.append(
-                EdgeTerm(
-                    kind=EdgeTermKind.STEINER_STEINER,
-                    edge=(NodeRef.steiner(m), NodeRef.steiner(l)),
-                    contribution=contribution,
-                )
-            )
+    for e in range(plan.steiner_edges.start, plan.steiner_edges.stop):
+        a, m, l = proj[e], int(plan.tail[e]) - n, int(plan.head[e]) - n
+        if e < plan.steiner_steiner.start:
+            kind, blocks = EdgeTermKind.TERMINAL_STEINER, {(l, l): a.copy()}
+        else:
+            kind, blocks = EdgeTermKind.STEINER_STEINER, {(m, m): a.copy(), (l, l): a.copy(), (m, l): -a, (l, m): -a}
+        terms.append(EdgeTerm(kind=kind, edge=plan.refs[e], contribution=BlockMatrix2(k, k, blocks)))
     return terms

@@ -41,33 +41,65 @@ def _load_object(text: str) -> dict:
 def _check_version_and_keys(doc: dict, allowed: set[str]) -> None:
     if "format_version" not in doc:
         raise DocumentError("missing field 'format_version'")
-    if doc["format_version"] != FORMAT_VERSION:
+    # type check first: JSON true would otherwise equal 1
+    if type(doc["format_version"]) is not int or doc["format_version"] != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version: {doc['format_version']!r}")
     for key in doc:
         if key not in allowed:
             raise DocumentError(f"unknown field '{key}'")
 
 
-def _decode_positions(raw, name: str) -> list[Point2]:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(raw, name: str) -> np.ndarray:
+    """``raw``, already checked to hold only numbers, as a float array of finite values."""
+    try:
+        arr = np.array(raw, dtype=float)
+    except OverflowError as e:
+        raise DocumentError(f"'{name}': {e}") from e
+    if not np.isfinite(arr).all():
+        raise DocumentError(f"'{name}' must hold only finite numbers")
+    return arr
+
+
+def _number(raw, name: str) -> float:
+    if not _is_number(raw):
+        raise DocumentError(f"'{name}' must be a number")
+    return float(_finite(raw, name))
+
+
+def _number_list(raw, name: str) -> np.ndarray:
+    if not (isinstance(raw, list) and all(_is_number(v) for v in raw)):
+        raise DocumentError(f"'{name}' must be a list of numbers")
+    return _finite(raw, name)
+
+
+def _object(raw, name: str, fields: tuple[str, ...]) -> dict:
+    if not isinstance(raw, dict):
+        raise DocumentError(f"'{name}' must be an object")
+    for key in fields:
+        if key not in raw:
+            raise DocumentError(f"'{name}' is missing field '{key}'")
+    return raw
+
+
+def _decode_positions(raw, name: str) -> np.ndarray:
+    """An (m, 2) array of finite coordinates from a list of [x, y] pairs."""
     if not isinstance(raw, list):
         raise DocumentError(f"'{name}' must be a list of [x, y] pairs")
-    points = []
     for idx, item in enumerate(raw):
-        if not (isinstance(item, list) and len(item) == 2) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in item
-        ):
+        if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)):
             raise DocumentError(f"'{name}[{idx}]' must be a pair of numbers")
-        try:
-            points.append(Point2(float(item[0]), float(item[1])))
-        except ValueError as e:
-            raise DocumentError(f"'{name}[{idx}]': {e}") from e
-    return points
+    return _finite(raw, name).reshape(-1, 2)
 
 
 def _decode_edges(raw, n: int, k: int) -> SteinerTopology:
     if not isinstance(raw, list):
         raise DocumentError("'edges' must be a list of two-element node references")
     edges_t, edges_ts, edges_s = set(), set(), set()
+    seen = set()
     for idx, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(v, str) for v in item)):
             raise DocumentError(f"'edges[{idx}]' must be a pair of node reference strings")
@@ -81,6 +113,10 @@ def _decode_edges(raw, n: int, k: int) -> SteinerTopology:
             if index >= bound:
                 raise DocumentError(f"'edges[{idx}]': index out of range: {ref!r}")
             refs.append((kind, index))
+        key = tuple(sorted(refs))
+        if key in seen:
+            raise DocumentError(f"'edges[{idx}]': repeated edge {item[0]}-{item[1]}")
+        seen.add(key)
         (ka, ia), (kb, ib) = refs
         if ka == "t" and kb == "t":
             edges_t.add((ia, ib))
@@ -104,26 +140,26 @@ def decode_instance(text: str) -> SteinerTree | list[Point2]:
     if "terminals" not in doc:
         raise DocumentError("missing field 'terminals'")
     terminals = _decode_positions(doc["terminals"], "terminals")
-    if not terminals:
+    if not len(terminals):
         raise DocumentError("'terminals' must not be empty")
 
     if "edges" not in doc:
         if "steiner" in doc:
             raise DocumentError("'edges' is required when 'steiner' is present")
-        return terminals
+        return [Point2(x, y) for x, y in terminals.tolist()]
 
     steiner = _decode_positions(doc.get("steiner", []), "steiner")
     topology = _decode_edges(doc["edges"], n=len(terminals), k=len(steiner))
     validation = validate_topology(topology)
     if not validation.ok:
         raise DocumentError("invalid tree: " + "; ".join(validation.violations))
-    return SteinerTree(topology, tuple(terminals), tuple(steiner))
+    return SteinerTree(topology, terminals, steiner)
 
 
 def _tree_payload(tree: SteinerTree) -> dict:
     return {
-        "terminals": [[p.x, p.y] for p in tree.terminal_positions],
-        "steiner": [[p.x, p.y] for p in tree.steiner_positions],
+        "terminals": tree.terminal_positions.tolist(),
+        "steiner": tree.steiner_positions.tolist(),
         "edges": [[str(a), str(b)] for a, b in tree.topology.all_edges()],
     }
 
@@ -145,7 +181,7 @@ def decode_perturbation(text: str, expected_n: int | None = None) -> Perturbatio
     pairs = _decode_positions(doc["delta_t"], "delta_t")
     if expected_n is not None and len(pairs) != expected_n:
         raise DocumentError(f"'delta_t' has {len(pairs)} pairs but the instance has {expected_n} terminals")
-    return Perturbation.from_pairs([[p.x, p.y] for p in pairs])
+    return Perturbation.from_pairs(pairs)
 
 
 def encode_perturbation(p: Perturbation) -> str:
@@ -155,40 +191,40 @@ def encode_perturbation(p: Perturbation) -> str:
 
 
 def _health_payload(health: HealthReport) -> dict:
+    condition = health.hessian_condition
     return {
         "min_edge_length": health.min_edge_length,
         "max_steiner_angle_deviation": health.max_steiner_angle_deviation,
-        "hessian_condition": health.hessian_condition,
+        # standard JSON has no infinity; an infinite condition is written as null
+        "hessian_condition": condition if math.isfinite(condition) else None,
         "positive_definite": health.positive_definite,
     }
 
 
-def _health_from_payload(raw: dict) -> HealthReport:
-    try:
-        return HealthReport(
-            min_edge_length=float(raw["min_edge_length"]),
-            max_steiner_angle_deviation=float(raw["max_steiner_angle_deviation"]),
-            hessian_condition=float(raw["hessian_condition"]),
-            positive_definite=bool(raw["positive_definite"]),
-        )
-    except (KeyError, TypeError) as e:
-        raise DocumentError(f"malformed health record: {e}") from e
+def _health_from_payload(raw, name: str) -> HealthReport:
+    fields = ("min_edge_length", "max_steiner_angle_deviation", "hessian_condition", "positive_definite")
+    raw = _object(raw, name, fields)
+    if not isinstance(raw["positive_definite"], bool):
+        raise DocumentError(f"'{name}.positive_definite' must be true or false")
+    condition = raw["hessian_condition"]
+    return HealthReport(
+        min_edge_length=_number(raw["min_edge_length"], f"{name}.min_edge_length"),
+        max_steiner_angle_deviation=_number(raw["max_steiner_angle_deviation"], f"{name}.max_steiner_angle_deviation"),
+        hessian_condition=math.inf if condition is None else _number(condition, f"{name}.hessian_condition"),
+        positive_definite=raw["positive_definite"],
+    )
 
 
-def _tree_from_payload(raw: dict, context: str) -> SteinerTree:
-    if not isinstance(raw, dict):
-        raise DocumentError(f"'{context}' must be an object")
-    missing = {"terminals", "steiner", "edges"} - set(raw)
-    if missing:
-        raise DocumentError(f"'{context}' is missing field '{sorted(missing)[0]}'")
-    terminals = _decode_positions(raw["terminals"], f"{context}.terminals")
-    steiner = _decode_positions(raw["steiner"], f"{context}.steiner")
+def _tree_from_payload(raw, name: str) -> SteinerTree:
+    raw = _object(raw, name, ("terminals", "steiner", "edges"))
+    terminals = _decode_positions(raw["terminals"], f"{name}.terminals")
+    steiner = _decode_positions(raw["steiner"], f"{name}.steiner")
     topology = _decode_edges(raw["edges"], n=len(terminals), k=len(steiner))
-    return SteinerTree(topology, tuple(terminals), tuple(steiner))
+    return SteinerTree(topology, terminals, steiner)
 
 
 def encode_report(report: AdaptationReport) -> str:
-    """Machine-readable mirror of a stepwise run, losslessly round-trippable."""
+    """Machine-readable mirror of a stepwise run, losslessly round-trippable, in standard JSON."""
     doc = {
         "format_version": FORMAT_VERSION,
         "status": report.status.value,
@@ -210,7 +246,7 @@ def encode_report(report: AdaptationReport) -> str:
         ],
         "final_tree": _tree_payload(report.final_tree),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def decode_report(text: str) -> AdaptationReport:
@@ -223,27 +259,29 @@ def decode_report(text: str) -> AdaptationReport:
         status = AdaptationStatus(doc["status"])
     except ValueError as e:
         raise DocumentError(f"unknown status {doc['status']!r}") from e
-    initial = doc["initial"]
-    if not isinstance(initial, dict):
-        raise DocumentError("'initial' must be an object")
-    records = []
+    initial = _object(doc["initial"], "initial", ("tree", "health", "length"))
     if not isinstance(doc["steps"], list):
         raise DocumentError("'steps' must be a list")
-    for raw in doc["steps"]:
+    records = []
+    for idx, raw in enumerate(doc["steps"]):
+        name = f"steps[{idx}]"
+        raw = _object(raw, name, ("index", "delta_t", "delta_s", "tree", "health", "length"))
+        if type(raw["index"]) is not int:
+            raise DocumentError(f"'{name}.index' must be an integer")
         records.append(
             StepRecord(
-                index=int(raw["index"]),
-                delta_t_fragment=np.asarray(raw["delta_t"], dtype=float),
-                delta_s=np.asarray(raw["delta_s"], dtype=float),
-                tree=_tree_from_payload(raw["tree"], "steps[].tree"),
-                health=_health_from_payload(raw["health"]),
-                tree_length=float(raw["length"]),
+                index=raw["index"],
+                delta_t_fragment=_number_list(raw["delta_t"], f"{name}.delta_t"),
+                delta_s=_number_list(raw["delta_s"], f"{name}.delta_s"),
+                tree=_tree_from_payload(raw["tree"], f"{name}.tree"),
+                health=_health_from_payload(raw["health"], f"{name}.health"),
+                tree_length=_number(raw["length"], f"{name}.length"),
             )
         )
     return AdaptationReport(
-        initial_tree=_tree_from_payload(initial.get("tree"), "initial.tree"),
-        initial_health=_health_from_payload(initial.get("health", {})),
-        initial_length=float(initial.get("length", math.nan)),
+        initial_tree=_tree_from_payload(initial["tree"], "initial.tree"),
+        initial_health=_health_from_payload(initial["health"], "initial.health"),
+        initial_length=_number(initial["length"], "initial.length"),
         steps=tuple(records),
         final_tree=_tree_from_payload(doc["final_tree"], "final_tree"),
         status=status,

@@ -31,6 +31,7 @@ from .trees import (
     SteinerTopology,
     SteinerTree,
     check_geometric_conditions,
+    edge_vectors,
     tree_length,
     validate_topology,
 )
@@ -43,22 +44,6 @@ _COLLAPSE_LEN = 1e-9
 # Relative edge length below which a contraction is attempted. Eager on
 # purpose: a wrong attempt is caught by the split test and remembered.
 _CONTRACT_TRIGGER = 2e-2
-
-
-@dataclass(frozen=True)
-class FullTopology(SteinerTopology):
-    """A topology with k = n - 2, degree-1 terminals and no terminal-terminal edges."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.k != self.n - 2:
-            raise ValueError(f"full topology needs k = n - 2, got k={self.k}, n={self.n}")
-        if self.edges_T:
-            raise ValueError("full topology has no terminal-terminal edges")
-        if any(d != 1 for d in self.terminal_degrees()):
-            raise ValueError("full topology terminals must have degree 1")
-        if any(d != 3 for d in self.steiner_degrees()):
-            raise ValueError("full topology steiner points must have degree 3")
 
 
 @dataclass(frozen=True)
@@ -93,10 +78,22 @@ class ExactSolveResult:
     ties: tuple[SteinerTree, ...]
 
 
+def full_topology(n: int, k: int, edges_T=frozenset(), edges_TS=frozenset(), edges_S=frozenset()) -> SteinerTopology:
+    """A topology with k = n - 2, degree-1 terminals and no terminal-terminal edges, or ValueError."""
+    topology = SteinerTopology(n=n, k=k, edges_T=edges_T, edges_TS=edges_TS, edges_S=edges_S)
+    if k != n - 2:
+        raise ValueError(f"full topology needs k = n - 2, got k={k}, n={n}")
+    if topology.edges_T:
+        raise ValueError("full topology has no terminal-terminal edges")
+    if any(d != 1 for d in topology.terminal_degrees()):
+        raise ValueError("full topology terminals must have degree 1")
+    if any(d != 3 for d in topology.steiner_degrees()):
+        raise ValueError("full topology steiner points must have degree 3")
+    return topology
+
+
 def _points_array(points) -> np.ndarray:
-    seq = list(points)
-    if seq and isinstance(seq[0], Point2):
-        return np.array([[p.x, p.y] for p in seq], dtype=float)
+    seq = [(p.x, p.y) if isinstance(p, Point2) else p for p in points]
     return np.asarray(seq, dtype=float).reshape(len(seq), 2)
 
 
@@ -159,13 +156,7 @@ def _hessian(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     uhat = u / d[:, None]
     proj = (np.eye(2) - uhat[:, :, None] * uhat[:, None, :]) / d[:, None, None]
     nfree = A.shape[1]
-    H = np.zeros((2 * nfree, 2 * nfree))
-    for e in range(A.shape[0]):
-        nz = np.nonzero(A[e])[0]
-        for i in nz:
-            for j in nz:
-                H[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] += A[e, i] * A[e, j] * proj[e]
-    return H
+    return np.einsum("ei,ej,eab->iajb", A, A, proj).reshape(2 * nfree, 2 * nfree)
 
 
 def _newton(A, c, s, grad_tol, max_steps):
@@ -301,16 +292,8 @@ def _minimize(net: _Net, s0: np.ndarray, grad_tol: float, budget: int, scale: fl
 
 
 def _steiner_edge_list(topology: SteinerTopology) -> list[tuple[int, int]]:
-    n = topology.n
-    edges = [(j, n + i) for j, i in sorted(topology.edges_TS)]
-    edges += [(n + m, n + l) for m, l in sorted(topology.edges_S)]
-    return edges
-
-
-def _edge_refs(topology: SteinerTopology) -> list[tuple[NodeRef, NodeRef]]:
-    refs = [(NodeRef.terminal(j), NodeRef.steiner(i)) for j, i in sorted(topology.edges_TS)]
-    refs += [(NodeRef.steiner(m), NodeRef.steiner(l)) for m, l in sorted(topology.edges_S)]
-    return refs
+    plan = topology.plan
+    return list(zip(plan.tail[plan.steiner_edges].tolist(), plan.head[plan.steiner_edges].tolist()))
 
 
 def _instance_scale(t: np.ndarray) -> float:
@@ -354,11 +337,10 @@ def optimize_fixed_topology(
 
     s, gnorm, iters, converged = _optimize_on(t, topology, s0, grad_tol, max_iterations)
     tree = SteinerTree.from_arrays(topology, t, s)
-    pos = np.vstack([t, s]) if s.size else t
-    collapsed = []
-    for (ra, rb), (p, q) in zip(_edge_refs(topology), _steiner_edge_list(topology)):
-        if math.hypot(*(pos[p] - pos[q])) <= _COLLAPSE_LEN:
-            collapsed.append((ra, rb))
+    lengths = edge_vectors(tree)[1]
+    steiner_edges = topology.plan.steiner_edges
+    refs = topology.plan.refs[steiner_edges]
+    collapsed = [ref for ref, d in zip(refs, lengths[steiner_edges]) if d <= _COLLAPSE_LEN]
     return OptimizeResult(
         tree=tree,
         gradient_norm=gnorm,
@@ -373,7 +355,7 @@ def optimize_fixed_topology(
 # ---------------------------------------------------------------------------
 
 
-def enumerate_full_topologies(n: int) -> list[FullTopology]:
+def enumerate_full_topologies(n: int) -> list[SteinerTopology]:
     """Every full topology on ``n`` labeled terminals, 3 <= n <= 6.
 
     Built incrementally: each new terminal subdivides one existing edge
@@ -408,7 +390,7 @@ def enumerate_full_topologies(n: int) -> list[FullTopology]:
                 edges_ts.append((b[1], a[1]))
             else:
                 edges_ss.append((a[1], b[1]))
-        out.append(FullTopology(n=n, k=n - 2, edges_TS=frozenset(edges_ts), edges_S=frozenset(edges_ss)))
+        out.append(full_topology(n=n, k=n - 2, edges_TS=edges_ts, edges_S=edges_ss))
     return out
 
 
@@ -420,20 +402,9 @@ def canonical_encoding(topology: SteinerTopology) -> str:
     match. The tree is encoded rooted at terminal 0 with children sorted
     recursively.
     """
-    n, k = topology.n, topology.k
-    total = n + k
-    adj: list[list[int]] = [[] for _ in range(total)]
-    for i, j in topology.edges_T:
-        adj[i].append(j)
-        adj[j].append(i)
-    for j, i in topology.edges_TS:
-        adj[j].append(n + i)
-        adj[n + i].append(j)
-    for m, l in topology.edges_S:
-        adj[n + m].append(n + l)
-        adj[n + l].append(n + m)
-
-    visited = [False] * total
+    n = topology.n
+    adj = topology.adjacency()
+    visited = [False] * len(adj)
 
     def enc(u: int, parent: int) -> str:
         visited[u] = True
@@ -471,10 +442,12 @@ def _seed_positions(t: np.ndarray, topology: SteinerTopology, salt: int) -> np.n
     return base + rng.normal(scale=1e-3 * _instance_scale(t), size=base.shape)
 
 
-def _contract_collapsed(tree: SteinerTree, final_pos: np.ndarray, lengths_by_edge) -> SteinerTree | None:
-    """Merge coincident nodes and rewire; None if the result is not a valid tree."""
+def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree | None:
+    """Merge the endpoints of edges no longer than the collapse length and
+    rewire; None if the result is not a valid tree."""
     topo = tree.topology
     n, k = topo.n, topo.k
+    ends = list(zip(topo.plan.tail.tolist(), topo.plan.head.tolist()))
     total = n + k
     parent = list(range(total))
 
@@ -492,7 +465,7 @@ def _contract_collapsed(tree: SteinerTree, final_pos: np.ndarray, lengths_by_edg
                 rx, ry = ry, rx
             parent[ry] = rx
 
-    for (p, q), length in lengths_by_edge:
+    for (p, q), length in zip(ends, lengths):
         if length <= _COLLAPSE_LEN:
             union(p, q)
 
@@ -509,7 +482,7 @@ def _contract_collapsed(tree: SteinerTree, final_pos: np.ndarray, lengths_by_edg
     edges_t: set[tuple[int, int]] = set()
     edges_ts: set[tuple[int, int]] = set()
     edges_s: set[tuple[int, int]] = set()
-    for (p, q), length in lengths_by_edge:
+    for p, q in ends:
         rp, rq = find(p), find(q)
         if rp == rq:
             continue
@@ -521,8 +494,6 @@ def _contract_collapsed(tree: SteinerTree, final_pos: np.ndarray, lengths_by_edg
             edges_ts.add((rq, steiner_renum[rp]))
         else:
             edges_s.add((steiner_renum[rp], steiner_renum[rq]))
-    for i, j in topo.edges_T:
-        edges_t.add((find(i), find(j)))
 
     reduced = SteinerTopology(
         n=n,
@@ -533,8 +504,8 @@ def _contract_collapsed(tree: SteinerTree, final_pos: np.ndarray, lengths_by_edg
     )
     if not validate_topology(reduced).ok:
         return None
-    s_new = np.array([final_pos[rep] for rep in new_steiner_reps]).reshape(len(new_steiner_reps), 2)
-    return SteinerTree.from_arrays(reduced, tree.terminal_array(), s_new)
+    s_new = tree.steiner_positions[[rep - n for rep in new_steiner_reps]]
+    return SteinerTree.from_arrays(reduced, tree.terminal_positions, s_new)
 
 
 def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000) -> ExactSolveResult:
@@ -568,11 +539,10 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
         s, gnorm, _, converged = _optimize_on(t, topo, s0, grad_tol, max_iterations)
         if not converged:
             continue
-        pos = np.vstack([t, s])
-        lengths = [((p, q), math.hypot(*(pos[p] - pos[q]))) for p, q in _steiner_edge_list(topo)]
         full_tree = SteinerTree.from_arrays(topo, t, s)
-        if any(length <= _COLLAPSE_LEN for _, length in lengths):
-            reduced = _contract_collapsed(full_tree, pos, lengths)
+        lengths = edge_vectors(full_tree)[1]
+        if lengths.min() <= _COLLAPSE_LEN:
+            reduced = _contract_collapsed(full_tree, lengths)
             if reduced is None:
                 continue
             candidates.append((tree_length(reduced), reduced))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -61,17 +62,82 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "Point2":
-        return Point2(float(a[0]), float(a[1]))
-
 
 def _normalized_pair(pair) -> tuple[int, int]:
     a, b = int(pair[0]), int(pair[1])
     return (a, b) if a <= b else (b, a)
+
+
+def _frozen_array(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class EdgePlan:
+    """A topology's edges as index arrays, in ``all_edges()`` order.
+
+    Nodes are numbered in one stack: terminals ``0..n-1``, then Steiner
+    points ``n..n+k-1``. Edge ``e`` joins ``tail[e]`` to ``head[e]`` and
+    its edge vector is ``position[head[e]] - position[tail[e]]``. The
+    head of every edge touching a Steiner point is a Steiner point, and
+    ``steiner_edges`` spans those edges. Each row of ``pair_edges`` is two
+    edges meeting at one node, ``pair_sign`` is +1 when both leave that
+    node along their edge vectors' directions (or both against), and
+    ``pair_at_steiner`` marks pairs meeting at a Steiner point.
+    """
+
+    tail: np.ndarray
+    head: np.ndarray
+    refs: tuple[tuple[NodeRef, NodeRef], ...]
+    terminal_terminal: slice
+    terminal_steiner: slice
+    steiner_steiner: slice
+    steiner_edges: slice
+    pair_edges: np.ndarray
+    pair_sign: np.ndarray
+    pair_at_steiner: np.ndarray
+
+
+def _build_plan(topology: SteinerTopology) -> EdgePlan:
+    n, k = topology.n, topology.k
+    tt, ts, ss = sorted(topology.edges_T), sorted(topology.edges_TS), sorted(topology.edges_S)
+    refs = (
+        [(NodeRef.terminal(i), NodeRef.terminal(j)) for i, j in tt]
+        + [(NodeRef.terminal(j), NodeRef.steiner(i)) for j, i in ts]
+        + [(NodeRef.steiner(m), NodeRef.steiner(l)) for m, l in ss]
+    )
+
+    def node(ref: NodeRef) -> int:
+        # an index outside its kind's range maps past the last node, so position lookups fail
+        offset, count = (0, n) if ref.kind is NodeKind.TERMINAL else (n, k)
+        return offset + ref.index if 0 <= ref.index < count else n + k
+
+    ends = [(node(a), node(b)) for a, b in refs]
+    # (edge, +1 if the node is the edge's tail else -1) for the edges at each node
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for e, (a, b) in enumerate(ends):
+        incident.setdefault(a, []).append((e, 1))
+        incident.setdefault(b, []).append((e, -1))
+    pairs = [
+        (e1, e2, s1 * s2, at >= n)
+        for at, meeting in incident.items()
+        for x, (e1, s1) in enumerate(meeting)
+        for e2, s2 in meeting[x + 1 :]
+    ]
+    return EdgePlan(
+        tail=_frozen_array([a for a, _ in ends], np.intp),
+        head=_frozen_array([b for _, b in ends], np.intp),
+        refs=tuple(refs),
+        terminal_terminal=slice(0, len(tt)),
+        terminal_steiner=slice(len(tt), len(tt) + len(ts)),
+        steiner_steiner=slice(len(tt) + len(ts), len(ends)),
+        steiner_edges=slice(len(tt), len(ends)),
+        pair_edges=_frozen_array([p[:2] for p in pairs], np.intp).reshape(-1, 2),
+        pair_sign=_frozen_array([p[2] for p in pairs], float),
+        pair_at_steiner=_frozen_array([p[3] for p in pairs], bool),
+    )
 
 
 @dataclass(frozen=True)
@@ -97,34 +163,27 @@ class SteinerTopology:
         object.__setattr__(self, "edges_TS", frozenset((int(a), int(b)) for a, b in self.edges_TS))
         object.__setattr__(self, "edges_S", frozenset(_normalized_pair(e) for e in self.edges_S))
 
-    # value equality across subclasses: a specialized topology equals the
-    # plain one with the same structure (matters for decoded documents)
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SteinerTopology):
-            return NotImplemented
-        return (self.n, self.k, self.edges_T, self.edges_TS, self.edges_S) == (
-            other.n,
-            other.k,
-            other.edges_T,
-            other.edges_TS,
-            other.edges_S,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k, self.edges_T, self.edges_TS, self.edges_S))
+    @cached_property
+    def plan(self) -> EdgePlan:
+        """The edges in index form, built on first use and kept for the topology's lifetime."""
+        return _build_plan(self)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges_T) + len(self.edges_TS) + len(self.edges_S)
 
     def all_edges(self) -> Iterator[tuple[NodeRef, NodeRef]]:
-        """Yield every edge as a pair of node references, deterministically ordered."""
-        for i, j in sorted(self.edges_T):
-            yield NodeRef.terminal(i), NodeRef.terminal(j)
-        for j, i in sorted(self.edges_TS):
-            yield NodeRef.terminal(j), NodeRef.steiner(i)
-        for m, l in sorted(self.edges_S):
-            yield NodeRef.steiner(m), NodeRef.steiner(l)
+        """Yield every edge as a pair of node references, deterministically ordered:
+        terminal-terminal, terminal-Steiner, then Steiner-Steiner, each sorted."""
+        return iter(self.plan.refs)
+
+    def adjacency(self) -> list[list[int]]:
+        """Neighbors of every node, both in the plan's stacked node ids."""
+        adj: list[list[int]] = [[] for _ in range(self.n + self.k)]
+        for a, b in zip(self.plan.tail.tolist(), self.plan.head.tolist()):
+            adj[a].append(b)
+            adj[b].append(a)
+        return adj
 
     def terminal_degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -150,44 +209,46 @@ class SteinerTopology:
                 deg[l] += 1
         return deg
 
-    def steiner_neighbors(self) -> list[list[tuple[NodeKind, int]]]:
-        """Adjacent nodes of each Steiner point as (kind, index) pairs."""
-        nbrs: list[list[tuple[NodeKind, int]]] = [[] for _ in range(self.k)]
-        for j, i in self.edges_TS:
-            nbrs[i].append((NodeKind.TERMINAL, j))
-        for m, l in self.edges_S:
-            nbrs[m].append((NodeKind.STEINER, l))
-            nbrs[l].append((NodeKind.STEINER, m))
-        for lst in nbrs:
-            lst.sort(key=lambda p: (p[0].value, p[1]))
-        return nbrs
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteinerTree:
     """A topology together with concrete coordinates for every node.
 
-    Flattening ``terminal_positions`` (respectively ``steiner_positions``)
-    in index order as ``(x0, y0, x1, y1, ...)`` gives the terminal and
-    Steiner coordinate vectors used throughout the derivative and
-    adaptation machinery.
+    ``terminal_positions`` is a read-only ``(n, 2)`` float array and
+    ``steiner_positions`` a read-only ``(k, 2)`` one; the constructor
+    copies whatever array-like it is given. Flattening them row by row as
+    ``(x0, y0, x1, y1, ...)`` gives the terminal and Steiner coordinate
+    vectors used throughout the derivative and adaptation machinery.
+    Trees compare equal when their topologies and positions are equal.
+
+    Raises:
+        ValueError: a position count that does not match the topology, or
+            a coordinate that is not finite.
     """
 
     topology: SteinerTopology
-    terminal_positions: tuple[Point2, ...]
-    steiner_positions: tuple[Point2, ...]
+    terminal_positions: np.ndarray
+    steiner_positions: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terminal_positions", tuple(self.terminal_positions))
-        object.__setattr__(self, "steiner_positions", tuple(self.steiner_positions))
-        if len(self.terminal_positions) != self.topology.n:
-            raise ValueError(
-                f"expected {self.topology.n} terminal positions, got {len(self.terminal_positions)}"
-            )
-        if len(self.steiner_positions) != self.topology.k:
-            raise ValueError(
-                f"expected {self.topology.k} steiner positions, got {len(self.steiner_positions)}"
-            )
+        for kind, count in (("terminal", self.topology.n), ("steiner", self.topology.k)):
+            arr = np.array(getattr(self, f"{kind}_positions"), dtype=float)
+            if arr.size != 2 * count:
+                raise ValueError(f"expected {count} {kind} positions, got {arr.size} coordinates")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{kind} coordinates must be finite")
+            arr = arr.reshape(count, 2)
+            arr.flags.writeable = False
+            object.__setattr__(self, f"{kind}_positions", arr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SteinerTree):
+            return NotImplemented
+        return (
+            self.topology == other.topology
+            and np.array_equal(self.terminal_positions, other.terminal_positions)
+            and np.array_equal(self.steiner_positions, other.steiner_positions)
+        )
 
     @property
     def n(self) -> int:
@@ -198,31 +259,20 @@ class SteinerTree:
         return self.topology.k
 
     def terminal_array(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.terminal_positions], dtype=float).reshape(self.n, 2)
+        return self.terminal_positions
 
     def steiner_array(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.steiner_positions], dtype=float).reshape(self.k, 2)
+        return self.steiner_positions
 
     def t_vector(self) -> np.ndarray:
-        return self.terminal_array().reshape(-1)
+        return self.terminal_positions.reshape(-1)
 
     def s_vector(self) -> np.ndarray:
-        return self.steiner_array().reshape(-1)
+        return self.steiner_positions.reshape(-1)
 
     @staticmethod
     def from_arrays(topology: SteinerTopology, terminals, steiner) -> "SteinerTree":
-        t = np.asarray(terminals, dtype=float).reshape(topology.n, 2)
-        s = np.asarray(steiner, dtype=float).reshape(topology.k, 2)
-        return SteinerTree(
-            topology,
-            tuple(Point2(float(x), float(y)) for x, y in t),
-            tuple(Point2(float(x), float(y)) for x, y in s),
-        )
-
-    def position_of(self, ref: NodeRef) -> np.ndarray:
-        if ref.kind is NodeKind.TERMINAL:
-            return self.terminal_positions[ref.index].as_array()
-        return self.steiner_positions[ref.index].as_array()
+        return SteinerTree(topology, terminals, steiner)
 
 
 @dataclass(frozen=True)
@@ -298,20 +348,10 @@ def validate_topology(topology: SteinerTopology) -> TopologyValidation:
 
 
 def _is_connected(topology: SteinerTopology) -> bool:
-    total = topology.n + topology.k
+    adj = topology.adjacency()
+    total = len(adj)
     if total == 0:
         return False
-    # Node ids: terminals 0..n-1, steiner n..n+k-1.
-    adj: list[list[int]] = [[] for _ in range(total)]
-    for i, j in topology.edges_T:
-        adj[i].append(j)
-        adj[j].append(i)
-    for j, i in topology.edges_TS:
-        adj[j].append(topology.n + i)
-        adj[topology.n + i].append(j)
-    for m, l in topology.edges_S:
-        adj[topology.n + m].append(topology.n + l)
-        adj[topology.n + l].append(topology.n + m)
     seen = [False] * total
     stack = [0]
     seen[0] = True
@@ -357,28 +397,44 @@ def steiner_forest_components(topology: SteinerTopology) -> list[list[int]]:
     return components
 
 
-def _edge_segments(tree: SteinerTree) -> list[tuple[NodeRef, NodeRef, np.ndarray, np.ndarray]]:
-    return [(a, b, tree.position_of(a), tree.position_of(b)) for a, b in tree.topology.all_edges()]
+
+
+def edge_vectors(tree: SteinerTree) -> tuple[np.ndarray, np.ndarray]:
+    """Edge vectors ``(E, 2)`` and lengths ``(E,)`` of every edge, in ``all_edges()`` order.
+
+    Row ``e`` is ``position[head[e]] - position[tail[e]]`` over the
+    topology's :class:`EdgePlan`. Degenerate edges are returned as they
+    are; see :func:`nondegenerate_edge_vectors`.
+    """
+    plan = tree.topology.plan
+    nodes = np.concatenate((tree.terminal_positions, tree.steiner_positions))
+    u = nodes[plan.head] - nodes[plan.tail]
+    return u, np.hypot(u[:, 0], u[:, 1])
+
+
+def nondegenerate_edge_vectors(tree: SteinerTree) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`edge_vectors` for computations that divide by edge lengths.
+
+    Raises:
+        DegenerateEdgeError: naming the first edge no longer than the
+            coincidence threshold.
+    """
+    u, lengths = edge_vectors(tree)
+    short = np.flatnonzero(lengths <= COINCIDENT_THRESHOLD)
+    if short.size:
+        a, b = tree.topology.plan.refs[short[0]]
+        raise DegenerateEdgeError(f"coincident nodes: edge {a}-{b} has length {lengths[short[0]]:.3e}")
+    return u, lengths
 
 
 def tree_length(tree: SteinerTree) -> float:
     """Sum of Euclidean edge lengths over the whole tree."""
-    total = 0.0
-    for _, _, pa, pb in _edge_segments(tree):
-        total += math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-    return total
+    return float(edge_vectors(tree)[1].sum())
 
 
 def min_edge_length(tree: SteinerTree) -> float:
-    lengths = [math.hypot(pa[0] - pb[0], pa[1] - pb[1]) for _, _, pa, pb in _edge_segments(tree)]
-    return min(lengths) if lengths else 0.0
-
-
-def _pair_angle(u: np.ndarray, v: np.ndarray) -> float:
-    # atan2 form is stable for nearly parallel and nearly opposite directions
-    cross = u[0] * v[1] - u[1] * v[0]
-    dot = u[0] * v[0] + u[1] * v[1]
-    return math.atan2(abs(cross), dot)
+    lengths = edge_vectors(tree)[1]
+    return float(lengths.min()) if lengths.size else 0.0
 
 
 def check_geometric_conditions(tree: SteinerTree, angle_tol: float = 1e-6) -> GeometricConditionReport:
@@ -392,38 +448,20 @@ def check_geometric_conditions(tree: SteinerTree, angle_tol: float = 1e-6) -> Ge
         DegenerateEdgeError: if any edge is shorter than the coincidence
             threshold; angles are undefined there.
     """
-    segments = _edge_segments(tree)
-    min_len = math.inf
-    for a, b, pa, pb in segments:
-        length = math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-        if length <= COINCIDENT_THRESHOLD:
-            raise DegenerateEdgeError(f"coincident nodes: edge {a}-{b} has length {length:.3e}")
-        min_len = min(min_len, length)
-    if not segments:
-        min_len = 0.0
-
-    # Unit directions of incident edges, grouped per node.
-    incident: dict[NodeRef, list[np.ndarray]] = {}
-    for a, b, pa, pb in segments:
-        d = pb - pa
-        u = d / np.linalg.norm(d)
-        incident.setdefault(a, []).append(u)
-        incident.setdefault(b, []).append(-u)
-
-    max_dev = 0.0
-    min_angle = math.pi
-    for ref, dirs in incident.items():
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                angle = _pair_angle(dirs[i], dirs[j])
-                min_angle = min(min_angle, angle)
-                if ref.kind is NodeKind.STEINER:
-                    max_dev = max(max_dev, abs(angle - STEINER_ANGLE))
+    u, lengths = nondegenerate_edge_vectors(tree)
+    plan = tree.topology.plan
+    unit = u / lengths[:, None]
+    a, b = unit[plan.pair_edges[:, 0]], unit[plan.pair_edges[:, 1]]
+    # atan2 form is stable for nearly parallel and nearly opposite directions
+    cross = np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    angles = np.arctan2(cross, plan.pair_sign * (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]))
+    max_dev = float(np.abs(angles[plan.pair_at_steiner] - STEINER_ANGLE).max(initial=0.0))
+    min_angle = float(angles.min(initial=math.pi))
 
     satisfied = max_dev <= angle_tol and min_angle >= STEINER_ANGLE - angle_tol
     return GeometricConditionReport(
-        min_edge_length=float(min_len),
-        max_steiner_angle_deviation=float(max_dev),
-        min_pairwise_angle=float(min_angle),
+        min_edge_length=float(lengths.min()) if lengths.size else 0.0,
+        max_steiner_angle_deviation=max_dev,
+        min_pairwise_angle=min_angle,
         satisfies_angle_condition=bool(satisfied),
     )

@@ -1,9 +1,13 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
 from steineradapt import (
+    NodeKind,
+    NodeRef,
     SteinerTopology,
     SteinerTree,
     cost,
@@ -72,6 +76,33 @@ def fd_mixed_ts(tree: SteinerTree, h: float = FD_STEP) -> np.ndarray:
         gm = gradient_s(SteinerTree.from_arrays(tree.topology, minus, s))
         cols.append((gp - gm) / (2 * h))
     return np.column_stack(cols)
+
+
+def node_position(tree: SteinerTree, ref: NodeRef) -> np.ndarray:
+    positions = tree.terminal_positions if ref.kind is NodeKind.TERMINAL else tree.steiner_positions
+    return positions[ref.index]
+
+
+def geometric_conditions_loop(tree: SteinerTree) -> tuple[float, float, float]:
+    """Reference (min edge length, max Steiner angle deviation, min pairwise
+    angle) from a plain loop over each node's incident edge pairs."""
+    incident: dict[NodeRef, list[np.ndarray]] = {}
+    lengths = []
+    for a, b in tree.topology.all_edges():
+        d = node_position(tree, b) - node_position(tree, a)
+        lengths.append(math.hypot(d[0], d[1]))
+        incident.setdefault(a, []).append(d / np.linalg.norm(d))
+        incident.setdefault(b, []).append(-d / np.linalg.norm(d))
+    max_dev, min_angle = 0.0, math.pi
+    for ref, dirs in incident.items():
+        for i in range(len(dirs)):
+            for j in range(i + 1, len(dirs)):
+                u, v = dirs[i], dirs[j]
+                angle = math.atan2(abs(u[0] * v[1] - u[1] * v[0]), u[0] * v[0] + u[1] * v[1])
+                min_angle = min(min_angle, angle)
+                if ref.kind is NodeKind.STEINER:
+                    max_dev = max(max_dev, abs(angle - 2 * math.pi / 3))
+    return min(lengths), max_dev, min_angle
 
 
 def random_valid_tree(rng: np.random.Generator, n: int, min_edge: float = 0.05) -> SteinerTree:

@@ -6,6 +6,7 @@ import pytest
 from steineradapt import (
     AdaptationMode,
     AdaptationStatus,
+    DegenerateEdgeError,
     IllConditionedError,
     Perturbation,
     StepPolicy,
@@ -21,6 +22,7 @@ from steineradapt import (
     steiner_forest_components,
     tree_length,
 )
+from steineradapt import adaptation
 
 PRINTED_X = np.array(
     [
@@ -290,6 +292,23 @@ class TestHealthMetrics:
         health = health_metrics(example1_tree)
         assert health.positive_definite
         assert health.hessian_condition == pytest.approx(2.155, abs=0.01)
+
+    def test_coincident_start_aborts_as_degenerate_edge(self):
+        topo = SteinerTopology(n=3, k=1, edges_TS={(0, 0), (1, 0), (2, 0)})
+        tree = SteinerTree.from_arrays(topo, [(0, 0), (1, 0), (0, 1)], [(0, 0)])
+        report = adapt_stepwise(tree, Perturbation.from_pairs([[0.1, 0], [0, 0], [0, 0]]), StepPolicy(steps=2))
+        assert report.initial_health.min_edge_length == 0.0
+        assert report.status is AdaptationStatus.ABORTED_DEGENERATE_EDGE
+        assert report.steps == ()
+
+    def test_degenerate_edge_in_solve_aborts_as_degenerate_edge(self, example1_tree, monkeypatch):
+        def degenerate(tree, p):
+            raise DegenerateEdgeError("coincident nodes")
+
+        monkeypatch.setattr(adaptation, "first_order_delta_s", degenerate)
+        report = adapt_stepwise(example1_tree, Perturbation.from_pairs([[0.1, 0], [0, 0], [0, 0]]))
+        assert report.status is AdaptationStatus.ABORTED_DEGENERATE_EDGE
+        assert report.steps == ()
 
     def test_degenerate_pair_reports_not_raises(self):
         topo = SteinerTopology(n=4, k=2, edges_TS={(0, 0), (1, 0), (2, 1), (3, 1)}, edges_S={(0, 1)})

@@ -83,6 +83,22 @@ class TestAdaptCommand:
         rows = trace.read_text().strip().splitlines()
         assert len(rows) == len(report.steps) + 2
 
+    def test_coincident_start_exits_2_with_standard_json(self, tmp_path):
+        instance = tmp_path / "coincident.json"
+        instance.write_text(json.dumps(dict(EXAMPLE1, steiner=[[0, 0]])))
+        delta = write_delta(tmp_path, [[0.1, 0], [0, 0], [0, 0]])
+        out = tmp_path / "report.json"
+        rc = run_cli(["adapt", "--instance", str(instance), "--delta", delta, "--steps", "2", "--out", str(out)])
+        assert rc == 2
+        assert "Infinity" not in out.read_text()
+        assert decode_report(out.read_text()).status.value == "aborted-degenerate-edge"
+
+    def test_repeated_edge_exits_1(self, tmp_path):
+        instance = tmp_path / "repeated.json"
+        instance.write_text(json.dumps({"format_version": 1, "terminals": [[0, 0], [1, 0]],
+                                        "edges": [["t0", "t1"], ["t1", "t0"]]}))
+        assert run_cli(["check", "--instance", str(instance)]) == 1
+
     def test_mismatched_delta_exits_1(self, tmp_path, example1_file):
         delta = write_delta(tmp_path, [[0.1, 0]])
         rc = run_cli(["adapt", "--instance", example1_file, "--delta", delta, "--steps", "1",

@@ -41,7 +41,7 @@ class TestDecodeInstance:
         tree = decode_instance(json.dumps(EXAMPLE_DOC))
         assert isinstance(tree, SteinerTree)
         assert tree.n == 3 and tree.k == 1
-        assert tree.steiner_positions[0] == Point2(0.211, 0.211)
+        assert tree.steiner_positions[0].tolist() == [0.211, 0.211]
 
     def test_terminals_only(self):
         doc = {"format_version": 1, "terminals": [[0, 0], [2, 3]]}
@@ -96,6 +96,30 @@ class TestDecodeInstance:
         with pytest.raises(DocumentError, match="finite"):
             decode_instance(text)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"format_version": 1, "terminals": [[0, 0], [1, 0]], "edges": [["t0", "t1"], ["t0", "t1"]]},
+            dict(EXAMPLE_DOC, edges=EXAMPLE_DOC["edges"] + [["s0", "t0"]]),
+        ],
+    )
+    def test_repeated_edge_rejected(self, doc):
+        with pytest.raises(DocumentError, match="repeated edge"):
+            decode_instance(json.dumps(doc))
+
+    def test_boolean_format_version_rejected_by_every_decoder(self, example1_tree):
+        report = adapt_stepwise(example1_tree, Perturbation.zero(3), StepPolicy(steps=1))
+        documents = [
+            (decode_instance, encode_instance(example_tree())),
+            (decode_perturbation, encode_perturbation(Perturbation.zero(3))),
+            (decode_report, encode_report(report)),
+        ]
+        for decode, text in documents:
+            doc = json.loads(text)
+            doc["format_version"] = True
+            with pytest.raises(DocumentError, match="unsupported format_version"):
+                decode(json.dumps(doc))
+
 
 class TestRoundTrips:
     def test_tree_round_trip_is_exact(self):
@@ -136,6 +160,37 @@ class TestRoundTrips:
             assert got.tree == want.tree
             assert got.health == want.health
             assert got.tree_length == want.tree_length
+
+    def test_report_step_that_is_not_an_object_rejected(self, example1_tree):
+        report = adapt_stepwise(example1_tree, Perturbation.zero(3), StepPolicy(steps=1))
+        doc = json.loads(encode_report(report))
+        doc["steps"] = [1]
+        with pytest.raises(DocumentError, match=r"steps\[0\]"):
+            decode_report(json.dumps(doc))
+
+    def test_report_without_initial_length_rejected(self, example1_tree):
+        report = adapt_stepwise(example1_tree, Perturbation.zero(3), StepPolicy(steps=1))
+        doc = json.loads(encode_report(report))
+        del doc["initial"]["length"]
+        with pytest.raises(DocumentError, match="length"):
+            decode_report(json.dumps(doc))
+
+    def test_aborted_report_is_standard_json_and_round_trips(self):
+        # the Steiner point sits on t0, so the start is degenerate and the
+        # Hessian condition number is infinite
+        tree = SteinerTree.from_arrays(example_tree().topology, [(0, 0), (1, 0), (0, 1)], [(0, 0)])
+        report = adapt_stepwise(tree, Perturbation.from_pairs([[0.1, 0], [0, 0], [0, 0]]), StepPolicy(steps=2))
+        assert report.initial_health.hessian_condition == math.inf
+        text = encode_report(report)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        assert json.loads(text, parse_constant=reject)["initial"]["health"]["hessian_condition"] is None
+        decoded = decode_report(text)
+        assert decoded.status is report.status
+        assert decoded.initial_health == report.initial_health
+        assert decoded.initial_tree == report.initial_tree
 
     def test_report_unknown_status_rejected(self, example1_tree):
         report = adapt_stepwise(example1_tree, Perturbation.zero(3), StepPolicy(steps=1))
@@ -183,7 +238,7 @@ class TestEmitTrace:
         emit_trace(report, buffer)
         last = buffer.getvalue().strip().splitlines()[-1].split(",")
         assert float(last[2]) == report.steps[-1].tree_length
-        assert float(last[6]) == report.steps[-1].tree.steiner_positions[0].x
+        assert float(last[6]) == report.steps[-1].tree.steiner_positions[0, 0]
 
     def test_aborted_run_trace_shows_condition_blowup(self, rect_tree):
         # drive the rectangle instance toward its spine collapse with a low

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from steineradapt import (
-    FullTopology,
     SteinerTopology,
     canonical_encoding,
     check_geometric_conditions,
     compare_topologies,
     enumerate_full_topologies,
+    full_topology,
     gradient_s,
     optimize_fixed_topology,
     solve_exact,
@@ -49,7 +49,7 @@ class TestEnumeration:
 
     def test_full_topology_constructor_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            FullTopology(n=4, k=1, edges_TS={(0, 0), (1, 0), (2, 0)}, edges_T={(2, 3)})
+            full_topology(n=4, k=1, edges_TS={(0, 0), (1, 0), (2, 0)}, edges_T={(2, 3)})
 
 
 class TestCompareTopologies:

@@ -14,7 +14,12 @@ from steineradapt import (
     tree_length,
     validate_topology,
 )
-from conftest import BRIDGED_TOPOLOGY, random_valid_tree
+from steineradapt.trees import edge_vectors
+from conftest import BRIDGED_TOPOLOGY, geometric_conditions_loop, node_position, random_valid_tree
+
+# Vectorized angles agree with the loop to a few rounding steps of unit
+# vectors and atan2 on angles of at most pi.
+ANGLE_ATOL = 64 * np.finfo(float).eps
 
 
 def star3() -> SteinerTopology:
@@ -29,6 +34,55 @@ class TestPoint2:
     def test_rejects_infinity(self):
         with pytest.raises(ValueError):
             Point2(0.0, float("inf"))
+
+
+class TestTreeArrays:
+    TERMINALS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite_coordinates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SteinerTree.from_arrays(star3(), [(0, 0), (1, 0), (0, bad)], [(0.2, 0.2)])
+        with pytest.raises(ValueError, match="finite"):
+            SteinerTree(star3(), self.TERMINALS, [(bad, 0.2)])
+
+    def test_rejects_wrong_position_counts(self):
+        with pytest.raises(ValueError, match="terminal positions"):
+            SteinerTree(star3(), self.TERMINALS[:2], [(0.2, 0.2)])
+        with pytest.raises(ValueError, match="steiner positions"):
+            SteinerTree(star3(), self.TERMINALS, [(0.2, 0.2), (0.3, 0.3)])
+
+    def test_positions_are_read_only_copies(self):
+        t = np.array(self.TERMINALS)
+        tree = SteinerTree.from_arrays(star3(), t, [(0.2, 0.2)])
+        t[0, 0] = 5.0
+        assert tree.terminal_positions[0, 0] == 0.0
+        assert tree.terminal_array() is tree.terminal_positions
+        assert tree.steiner_array() is tree.steiner_positions
+        for arr in (tree.terminal_positions, tree.steiner_positions, tree.t_vector(), tree.s_vector()):
+            assert arr.dtype == float and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_equality_is_by_value(self):
+        tree = SteinerTree.from_arrays(star3(), self.TERMINALS, [(0.2, 0.2)])
+        same = SteinerTree(star3(), np.array(self.TERMINALS).reshape(-1), np.array([0.2, 0.2]))
+        assert tree == same and tree is not same
+        assert tree != SteinerTree.from_arrays(star3(), self.TERMINALS, [(0.2, 0.3)])
+        other_edges = SteinerTopology(n=3, k=1, edges_TS={(0, 0), (1, 0)}, edges_T={(1, 2)})
+        assert tree != SteinerTree.from_arrays(other_edges, self.TERMINALS, [(0.2, 0.2)])
+
+    def test_plan_is_built_once_per_topology(self):
+        topo = star3()
+        assert topo.plan is topo.plan
+        assert topo == star3() and hash(topo) == hash(star3())
+        assert list(topo.all_edges()) == list(topo.plan.refs)
+
+    def test_edge_vectors_follow_all_edges(self, bridged_tree):
+        u, lengths = edge_vectors(bridged_tree)
+        for (a, b), row, length in zip(bridged_tree.topology.all_edges(), u, lengths):
+            assert np.array_equal(row, node_position(bridged_tree, b) - node_position(bridged_tree, a))
+            assert length == pytest.approx(np.linalg.norm(row), rel=4 * np.finfo(float).eps)
 
 
 class TestValidateTopology:
@@ -123,6 +177,31 @@ class TestGeometricConditions:
             assert 0.0 <= report.max_steiner_angle_deviation <= math.pi
             assert 0.0 <= report.min_pairwise_angle <= math.pi
             assert report.min_edge_length >= 0.0
+
+    @staticmethod
+    def assert_matches_loop(tree: SteinerTree) -> None:
+        report = check_geometric_conditions(tree)
+        min_len, max_dev, min_angle = geometric_conditions_loop(tree)
+        assert report.min_edge_length == pytest.approx(min_len, rel=4 * np.finfo(float).eps)
+        assert report.max_steiner_angle_deviation == pytest.approx(max_dev, abs=ANGLE_ATOL)
+        assert report.min_pairwise_angle == pytest.approx(min_angle, abs=ANGLE_ATOL)
+
+    def test_matches_loop_on_random_full_trees(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            self.assert_matches_loop(random_valid_tree(rng, int(rng.integers(3, 7))))
+
+    def test_matches_loop_at_degree_two_terminal(self, bridged_tree):
+        self.assert_matches_loop(bridged_tree)
+
+    def test_matches_loop_with_terminal_terminal_edge(self):
+        topo = SteinerTopology(n=4, k=1, edges_TS={(0, 0), (1, 0), (2, 0)}, edges_T={(2, 3)})
+        assert validate_topology(topo).ok
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            self.assert_matches_loop(
+                SteinerTree.from_arrays(topo, rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (1, 2)))
+            )
 
 
 class TestForestComponents:
