@@ -10,9 +10,10 @@ Steiner displacement:
 The Steiner Hessian is block diagonal across the connected components of
 the Steiner-Steiner subgraph, so the system is solved independently per
 component. Large perturbations are handled stepwise: split the move into
-fragments, apply the first-order update, re-evaluate X at the updated
-tree, repeat. The stepper watches edge lengths and Hessian conditioning
-and aborts instead of stepping through a topology breakdown.
+fragments and solve each one's first-order update with the Hessian factor
+of the current tree, without forming X. The stepper watches edge lengths,
+directions and Hessian conditioning and aborts instead of stepping through
+a topology breakdown.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import exact
 from .derivatives import hessian_ss, mixed_ts
-from .errors import DegenerateEdgeError, IllConditionedError
+from .errors import DegenerateEdgeError, IllConditionedError, SteinerAdaptError
 from .trees import (
     COINCIDENT_THRESHOLD,
     SteinerTree,
     check_geometric_conditions,
-    min_edge_length,
+    edge_vectors,
     steiner_forest_components,
     tree_length,
     validate_topology,
@@ -156,14 +157,99 @@ class AdaptationReport:
         return total
 
 
-def _eigenvalues(tree: SteinerTree) -> np.ndarray:
-    return np.linalg.eigvalsh(hessian_ss(tree).to_dense())
+@dataclass(frozen=True, eq=False)
+class _Evaluation:
+    """A configuration's edge vectors, health and ``(rows, H_c, Cholesky factor)``
+    per positive definite Steiner-forest component. ``error`` is what a solve
+    here raises: the degenerate edge or the first indefinite component."""
+
+    tree: SteinerTree
+    edges: np.ndarray
+    health: HealthReport
+    error: SteinerAdaptError | None
+    factors: tuple[tuple[np.ndarray, np.ndarray, tuple], ...]
 
 
 def _is_positive_definite(eigs: np.ndarray) -> bool:
     if eigs.size == 0:
         return True
     return bool(eigs[-1] > 0 and eigs[0] > _PD_RTOL * eigs[-1])
+
+
+def _evaluate(tree: SteinerTree) -> _Evaluation:
+    """Health and factors of ``tree``; a degenerate configuration gives a report, not an error."""
+    edges, lengths = edge_vectors(tree)
+    try:
+        geo = check_geometric_conditions(tree, angle_tol=1e-6)
+    except DegenerateEdgeError as e:
+        health = HealthReport(
+            min_edge_length=float(lengths.min()),
+            max_steiner_angle_deviation=math.pi,
+            hessian_condition=math.inf,
+            positive_definite=False,
+        )
+        return _Evaluation(tree, edges, health, e, ())
+    H = hessian_ss(tree).to_dense()
+    error = None
+    factors = []
+    spectra = [np.zeros(0)]
+    for component in steiner_forest_components(tree.topology):
+        rows = np.array([r for i in component for r in (2 * i, 2 * i + 1)])
+        Hc = H[np.ix_(rows, rows)]
+        eigs = np.linalg.eigvalsh(Hc)
+        spectra.append(eigs)
+        if _is_positive_definite(eigs):
+            factors.append((rows, Hc, cho_factor(Hc, lower=True)))
+        elif error is None:
+            error = IllConditionedError(
+                "ill-conditioned at this configuration: Hessian component "
+                f"{component} has eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
+            )
+    # H is block diagonal over the components, so its spectrum is their union
+    eigs = np.sort(np.concatenate(spectra))
+    pd = _is_positive_definite(eigs)
+    if eigs.size == 0:
+        condition = 1.0
+    elif pd:
+        condition = float(eigs[-1] / eigs[0])
+    else:
+        condition = math.inf
+    health = HealthReport(
+        min_edge_length=geo.min_edge_length,
+        max_steiner_angle_deviation=geo.max_steiner_angle_deviation,
+        hessian_condition=condition,
+        positive_definite=pd,
+    )
+    return _Evaluation(tree, edges, health, error, tuple(factors))
+
+
+def _solve(evaluation: _Evaluation, rhs: np.ndarray, scale: float) -> np.ndarray:
+    """``H^-1 rhs`` per component; ``scale`` is the norm of the terminal
+    displacement behind ``rhs`` (1 for the whole mixed partial) in the residual gate."""
+    if evaluation.error is not None:
+        raise evaluation.error
+    x = np.zeros(rhs.shape)
+    for rows, Hc, factor in evaluation.factors:
+        xc = cho_solve(factor, rhs[rows])
+        residual = np.linalg.norm(Hc @ xc - rhs[rows])
+        if residual > _SOLVE_RTOL * np.linalg.norm(Hc) * scale:
+            raise IllConditionedError(
+                f"ill-conditioned at this configuration: solve residual {residual:.3e}"
+            )
+        x[rows] = xc
+    return x
+
+
+def _check_topology(tree: SteinerTree) -> None:
+    validation = validate_topology(tree.topology)
+    if not validation.ok:
+        raise ValueError("invalid topology: " + "; ".join(validation.violations))
+
+
+def _check_perturbation(tree: SteinerTree, p: Perturbation) -> None:
+    if p.delta_t.size != 2 * tree.n:
+        raise ValueError(f"perturbation length {p.delta_t.size} does not match 2n = {2 * tree.n}")
+    _check_topology(tree)
 
 
 def sensitivity_matrix(tree: SteinerTree) -> np.ndarray:
@@ -174,77 +260,40 @@ def sensitivity_matrix(tree: SteinerTree) -> np.ndarray:
     exactly zero on that component's rows.
 
     Raises:
+        DegenerateEdgeError: an edge is no longer than the coincidence threshold.
         IllConditionedError: the Steiner Hessian is not positive definite
             at this configuration, or a component solve left a residual
             above tolerance.
     """
-    validation = validate_topology(tree.topology)
-    if not validation.ok:
-        raise ValueError("invalid topology: " + "; ".join(validation.violations))
-    k, n = tree.k, tree.n
-    X = np.zeros((2 * k, 2 * n))
-    if k == 0:
-        return X
-    H = hessian_ss(tree).to_dense()
-    M = mixed_ts(tree).to_dense()
-    for component in steiner_forest_components(tree.topology):
-        rows = np.array([r for i in component for r in (2 * i, 2 * i + 1)])
-        Hc = H[np.ix_(rows, rows)]
-        eigs = np.linalg.eigvalsh(Hc)
-        if not _is_positive_definite(eigs):
-            raise IllConditionedError(
-                "ill-conditioned at this configuration: Hessian component "
-                f"{component} has eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-            )
-        Mc = M[rows, :]
-        Xc = cho_solve(cho_factor(Hc, lower=True), -Mc)
-        residual = np.linalg.norm(Hc @ Xc + Mc)
-        if residual > _SOLVE_RTOL * np.linalg.norm(Hc):
-            raise IllConditionedError(
-                f"ill-conditioned at this configuration: solve residual {residual:.3e}"
-            )
-        X[rows, :] = Xc
-    return X
+    _check_topology(tree)
+    if tree.k == 0:
+        return np.zeros((0, 2 * tree.n))
+    return _solve(_evaluate(tree), -mixed_ts(tree).to_dense(), 1.0)
 
 
 def first_order_delta_s(tree: SteinerTree, p: Perturbation) -> np.ndarray:
-    """First-order Steiner displacement for the terminal displacement ``p``."""
-    if p.delta_t.size != 2 * tree.n:
-        raise ValueError(f"perturbation length {p.delta_t.size} does not match 2n = {2 * tree.n}")
+    """First-order Steiner displacement for ``p``, solved from ``H ds = -M dt`` without forming X."""
+    _check_perturbation(tree, p)
     if tree.k == 0:
         return np.zeros(0)
-    return sensitivity_matrix(tree) @ p.delta_t
+    return _solve(_evaluate(tree), -(mixed_ts(tree).to_dense() @ p.delta_t), float(np.linalg.norm(p.delta_t)))
 
 
 def health_metrics(tree: SteinerTree) -> HealthReport:
     """Edge, angle and conditioning metrics; degeneracy yields a report, not an error."""
-    min_edge = min_edge_length(tree)
-    if min_edge <= COINCIDENT_THRESHOLD:
-        return HealthReport(
-            min_edge_length=min_edge,
-            max_steiner_angle_deviation=math.pi,
-            hessian_condition=math.inf,
-            positive_definite=False,
-        )
-    geo = check_geometric_conditions(tree, angle_tol=1e-6)
-    eigs = _eigenvalues(tree)
-    pd = _is_positive_definite(eigs)
-    if eigs.size == 0:
-        condition = 1.0
-    elif pd:
-        condition = float(eigs[-1] / eigs[0])
-    else:
-        condition = math.inf
-    return HealthReport(
-        min_edge_length=geo.min_edge_length,
-        max_steiner_angle_deviation=geo.max_steiner_angle_deviation,
-        hessian_condition=condition,
-        positive_definite=pd,
-    )
+    return _evaluate(tree).health
 
 
-def _shifted_tree(tree: SteinerTree, frag: np.ndarray, ds: np.ndarray) -> SteinerTree:
-    return SteinerTree.from_arrays(tree.topology, tree.t_vector() + frag, tree.s_vector() + ds)
+def _advance(evaluation: _Evaluation, frag: np.ndarray, mode: AdaptationMode) -> tuple[np.ndarray, _Evaluation]:
+    """One first-order step from an evaluated configuration: the Steiner shift and the evaluated result."""
+    tree = evaluation.tree
+    ds = _solve(evaluation, -(mixed_ts(tree).to_dense() @ frag), float(np.linalg.norm(frag)))
+    new_tree = SteinerTree.from_arrays(tree.topology, tree.t_vector() + frag, tree.s_vector() + ds)
+    if mode is AdaptationMode.CORRECTED and tree.k > 0:
+        new_tree = exact.optimize_fixed_topology(
+            new_tree.terminal_positions, tree.topology, new_tree.steiner_positions
+        ).tree
+    return ds, _evaluate(new_tree)
 
 
 def adapt_single(
@@ -259,17 +308,12 @@ def adapt_single(
     first-order prediction. A degenerate result is reported through the
     health report rather than silently accepted.
     """
-    ds = first_order_delta_s(tree, p)
-    new_tree = _shifted_tree(tree, p.delta_t, ds)
-    if mode is AdaptationMode.CORRECTED and tree.k > 0:
-        result = exact.optimize_fixed_topology(
-            new_tree.terminal_positions, tree.topology, new_tree.steiner_positions
-        )
-        new_tree = result.tree
-    return new_tree, health_metrics(new_tree)
+    _check_perturbation(tree, p)
+    reached = _advance(_evaluate(tree), p.delta_t, mode)[1]
+    return reached.tree, reached.health
 
 
-def _next_fragment(remaining: np.ndarray, policy: StepPolicy, tree: SteinerTree, total: np.ndarray, done: int) -> np.ndarray:
+def _next_fragment(remaining: np.ndarray, policy: StepPolicy, min_edge: float, total: np.ndarray, done: int) -> np.ndarray:
     if policy.steps is not None:
         if done >= policy.steps - 1:
             return remaining
@@ -277,95 +321,77 @@ def _next_fragment(remaining: np.ndarray, policy: StepPolicy, tree: SteinerTree,
     if policy.max_step_norm is not None:
         cap = policy.max_step_norm
     else:
-        cap = 0.1 * min_edge_length(tree)
+        cap = 0.1 * min_edge
     inf_norm = float(np.abs(remaining).max())
     if cap >= inf_norm or cap <= 0.0:
         return remaining
     return remaining * (cap / inf_norm)
 
 
+def _status(health: HealthReport, min_edge_floor: float, condition_limit: float) -> AdaptationStatus:
+    """Whether stepping may continue from a configuration with this health."""
+    if health.min_edge_length < min_edge_floor or health.min_edge_length <= COINCIDENT_THRESHOLD:
+        return AdaptationStatus.ABORTED_DEGENERATE_EDGE
+    if not health.positive_definite or health.hessian_condition > condition_limit:
+        return AdaptationStatus.ABORTED_ILL_CONDITIONED
+    return AdaptationStatus.COMPLETED
+
+
 def adapt_stepwise(tree: SteinerTree, p: Perturbation, policy: StepPolicy | None = None) -> AdaptationReport:
     """Apply a perturbation as a sequence of first-order steps.
 
-    The sensitivity matrix is re-evaluated at every updated tree. The run
-    halts early when the Hessian condition exceeds the policy limit (or
-    definiteness fails) or when the minimum edge length falls below the
-    policy fraction of its initial value; records already produced are
-    kept. Fragments sum exactly to the requested perturbation on a
-    completed run.
+    Each step solves with the Hessian factor of the tree it starts from. The
+    run halts early when the Hessian condition exceeds the policy limit (or
+    definiteness fails), when the minimum edge length falls below the
+    policy fraction of its initial value, or when a step reverses an edge;
+    records already produced are kept. Fragments sum exactly to the
+    requested perturbation on a completed run.
+
+    Raises:
+        ValueError: a perturbation of the wrong length, or an invalid topology.
     """
     if policy is None:
         policy = StepPolicy()
-    if p.delta_t.size != 2 * tree.n:
-        raise ValueError(f"perturbation length {p.delta_t.size} does not match 2n = {2 * tree.n}")
+    _check_perturbation(tree, p)
 
-    initial_health = health_metrics(tree)
-    initial_length = tree_length(tree)
+    start = _evaluate(tree)
+    min_edge_floor = policy.min_edge_fraction * start.health.min_edge_length
+    status = _status(start.health, min_edge_floor, policy.condition_limit)
     records: list[StepRecord] = []
-    status = AdaptationStatus.COMPLETED
-    current = tree
-
-    healthy_start = initial_health.positive_definite and initial_health.hessian_condition <= policy.condition_limit
-    if not healthy_start:
-        degenerate = initial_health.min_edge_length <= COINCIDENT_THRESHOLD
-        return AdaptationReport(
-            initial_tree=tree,
-            initial_health=initial_health,
-            initial_length=initial_length,
-            steps=(),
-            final_tree=tree,
-            status=AdaptationStatus.ABORTED_DEGENERATE_EDGE if degenerate else AdaptationStatus.ABORTED_ILL_CONDITIONED,
-        )
-
+    current = start
     total = np.array(p.delta_t, dtype=float)
     # `applied` is accumulated with the same operation order the report's
     # applied_delta_t property uses, so a completed run sums exactly.
     applied = np.zeros_like(total)
-    min_edge_floor = policy.min_edge_fraction * initial_health.min_edge_length
-    done = 0
-    while not np.array_equal(applied, total):
-        remaining = total - applied
-        frag = _next_fragment(remaining, policy, current, total, done)
+    while status is AdaptationStatus.COMPLETED and not np.array_equal(applied, total):
+        frag = _next_fragment(total - applied, policy, current.health.min_edge_length, total, len(records))
         try:
-            ds = first_order_delta_s(current, Perturbation(frag))
+            ds, reached = _advance(current, frag, policy.mode)
         except IllConditionedError:
             status = AdaptationStatus.ABORTED_ILL_CONDITIONED
             break
-        except DegenerateEdgeError:
-            status = AdaptationStatus.ABORTED_DEGENERATE_EDGE
-            break
-        new_tree = _shifted_tree(current, frag, ds)
-        if policy.mode is AdaptationMode.CORRECTED and tree.k > 0:
-            result = exact.optimize_fixed_topology(
-                new_tree.terminal_positions, tree.topology, new_tree.steiner_positions
-            )
-            new_tree = result.tree
-        health = health_metrics(new_tree)
-        done += 1
         records.append(
             StepRecord(
-                index=done,
+                index=len(records) + 1,
                 delta_t_fragment=frag,
                 delta_s=ds,
-                tree=new_tree,
-                health=health,
-                tree_length=tree_length(new_tree),
+                tree=reached.tree,
+                health=reached.health,
+                tree_length=tree_length(reached.tree),
             )
         )
-        current = new_tree
         applied = applied + frag
-        if health.min_edge_length < min_edge_floor or health.min_edge_length <= COINCIDENT_THRESHOLD:
+        status = _status(reached.health, min_edge_floor, policy.condition_limit)
+        # a small step turns an edge by 90 degrees or more only by collapsing it on the way
+        if status is AdaptationStatus.COMPLETED and (np.einsum("ij,ij->i", current.edges, reached.edges) <= 0).any():
             status = AdaptationStatus.ABORTED_DEGENERATE_EDGE
-            break
-        if not health.positive_definite or health.hessian_condition > policy.condition_limit:
-            status = AdaptationStatus.ABORTED_ILL_CONDITIONED
-            break
+        current = reached
 
     return AdaptationReport(
         initial_tree=tree,
-        initial_health=initial_health,
-        initial_length=initial_length,
+        initial_health=start.health,
+        initial_length=tree_length(tree),
         steps=tuple(records),
-        final_tree=current,
+        final_tree=current.tree,
         status=status,
     )

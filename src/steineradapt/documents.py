@@ -149,7 +149,12 @@ def decode_instance(text: str) -> SteinerTree | list[Point2]:
         return [Point2(x, y) for x, y in terminals.tolist()]
 
     steiner = _decode_positions(doc.get("steiner", []), "steiner")
-    topology = _decode_edges(doc["edges"], n=len(terminals), k=len(steiner))
+    return _decode_tree(terminals, steiner, doc["edges"])
+
+
+def _decode_tree(terminals: np.ndarray, steiner: np.ndarray, raw_edges) -> SteinerTree:
+    """The tree on decoded positions and raw edges, which must form a valid topology."""
+    topology = _decode_edges(raw_edges, n=len(terminals), k=len(steiner))
     validation = validate_topology(topology)
     if not validation.ok:
         raise DocumentError("invalid tree: " + "; ".join(validation.violations))
@@ -219,8 +224,7 @@ def _tree_from_payload(raw, name: str) -> SteinerTree:
     raw = _object(raw, name, ("terminals", "steiner", "edges"))
     terminals = _decode_positions(raw["terminals"], f"{name}.terminals")
     steiner = _decode_positions(raw["steiner"], f"{name}.steiner")
-    topology = _decode_edges(raw["edges"], n=len(terminals), k=len(steiner))
-    return SteinerTree(topology, terminals, steiner)
+    return _decode_tree(terminals, steiner, raw["edges"])
 
 
 def encode_report(report: AdaptationReport) -> str:

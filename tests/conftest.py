@@ -13,7 +13,9 @@ from steineradapt import (
     cost,
     enumerate_full_topologies,
     gradient_s,
+    hessian_ss,
     min_edge_length,
+    mixed_ts,
     optimize_fixed_topology,
 )
 
@@ -76,6 +78,14 @@ def fd_mixed_ts(tree: SteinerTree, h: float = FD_STEP) -> np.ndarray:
         gm = gradient_s(SteinerTree.from_arrays(tree.topology, minus, s))
         cols.append((gp - gm) / (2 * h))
     return np.column_stack(cols)
+
+
+def dense_step_oracle(tree: SteinerTree, frag: np.ndarray) -> tuple[np.ndarray, float]:
+    """First-order Steiner shift ``H^-1 (-M frag)`` from one dense solve over the
+    whole Steiner Hessian, and that Hessian's condition number from its full spectrum."""
+    H = hessian_ss(tree).to_dense()
+    eigs = np.linalg.eigvalsh(H)
+    return np.linalg.solve(H, -(mixed_ts(tree).to_dense() @ frag)), float(eigs[-1] / eigs[0])
 
 
 def node_position(tree: SteinerTree, ref: NodeRef) -> np.ndarray:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from steineradapt import (
+    COINCIDENT_THRESHOLD,
     AdaptationMode,
     AdaptationStatus,
     DegenerateEdgeError,
-    IllConditionedError,
     Perturbation,
     StepPolicy,
     SteinerTopology,
@@ -22,7 +22,8 @@ from steineradapt import (
     steiner_forest_components,
     tree_length,
 )
-from steineradapt import adaptation
+
+from conftest import dense_step_oracle
 
 PRINTED_X = np.array(
     [
@@ -98,7 +99,7 @@ class TestSensitivityMatrix:
         tree = SteinerTree.from_arrays(
             topo, [(-1, 1), (-1, -1), (1, 1), (1, -1)], [(0.0, 0.0), (1e-13, 0.0)]
         )
-        with pytest.raises((IllConditionedError, Exception)):
+        with pytest.raises(DegenerateEdgeError):
             sensitivity_matrix(tree)
 
 
@@ -237,6 +238,14 @@ class TestAdaptStepwise:
         assert np.abs(moved[2:]).max() == 0.0
         assert np.abs(moved[:2]).max() > 1e-4
 
+    @pytest.mark.parametrize("steiner", [(0.5, 0.3), (0.5, 0.0)])
+    def test_invalid_topology_rejected(self, steiner):
+        # s0 has degree 2; placed on the line t0-t1 its Hessian is singular too
+        topo = SteinerTopology(n=3, k=1, edges_T={(1, 2)}, edges_TS={(0, 0), (1, 0)})
+        tree = SteinerTree.from_arrays(topo, [(0, 0), (1, 0), (1, 1)], [steiner])
+        with pytest.raises(ValueError, match="invalid topology"):
+            adapt_stepwise(tree, Perturbation.zero(3), StepPolicy(steps=2))
+
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             StepPolicy(steps=3, max_step_norm=0.5)
@@ -278,6 +287,58 @@ class TestBreakdownDetection:
         floor = 0.2 * report.initial_health.min_edge_length
         assert report.steps[-1].health.min_edge_length < floor
 
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_reversed_edge_aborts_as_degenerate_edge(self, rect_tree, steps):
+        # the last step carries the two Steiner points past each other
+        report = adapt_stepwise(rect_tree, self.shrink_perturbation(1.25), StepPolicy(steps=steps))
+        assert report.status is AdaptationStatus.ABORTED_DEGENERATE_EDGE
+        assert len(report.steps) == steps
+        before = np.diff(rect_tree.steiner_array(), axis=0)[0]
+        after = np.diff(report.final_tree.steiner_array(), axis=0)[0]
+        assert before @ after < 0
+
+
+class TestDenseOracle:
+    def check_report(self, report):
+        before = report.initial_tree
+        _, condition = dense_step_oracle(before, np.zeros(2 * before.n))
+        assert report.initial_health.hessian_condition == pytest.approx(condition, rel=1e-12)
+        for rec in report.steps:
+            ds, _ = dense_step_oracle(before, rec.delta_t_fragment)
+            _, condition = dense_step_oracle(rec.tree, rec.delta_t_fragment)
+            assert np.linalg.norm(rec.delta_s - ds) <= 1e-12 * np.linalg.norm(ds)
+            assert rec.health.hessian_condition == pytest.approx(condition, rel=1e-12)
+            before = rec.tree
+
+    @pytest.mark.parametrize("mode", list(AdaptationMode))
+    def test_example1(self, example1_tree, mode):
+        p = Perturbation.from_pairs([[0.4, 0], [0, 0], [0, 0]])
+        self.check_report(adapt_stepwise(example1_tree, p, StepPolicy(steps=10, mode=mode)))
+
+    def test_bridged(self, bridged_tree):
+        rng = np.random.default_rng(28)
+        p = Perturbation(rng.uniform(-0.05, 0.05, 2 * bridged_tree.n))
+        self.check_report(adapt_stepwise(bridged_tree, p, StepPolicy(steps=3)))
+
+    @pytest.mark.parametrize(
+        "amount, policy",
+        [
+            (1.2, StepPolicy(steps=24)),
+            (1.25, StepPolicy(steps=40, condition_limit=50.0, min_edge_fraction=1e-9)),
+            (1.25, StepPolicy(steps=60, condition_limit=1e12, min_edge_fraction=0.2)),
+        ],
+    )
+    def test_rect(self, rect_tree, amount, policy):
+        p = Perturbation.from_pairs([[amount, 0], [amount, 0], [-amount, 0], [-amount, 0]])
+        self.check_report(adapt_stepwise(rect_tree, p, policy))
+
+    def test_solved_trees(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            tree = optimized_random_tree(rng, int(rng.integers(3, 7)))
+            p = Perturbation(rng.uniform(-0.02, 0.02, 2 * tree.n))
+            self.check_report(adapt_stepwise(tree, p, StepPolicy(steps=3)))
+
 
 class TestHealthMetrics:
     def test_isotropic_star(self):
@@ -301,14 +362,16 @@ class TestHealthMetrics:
         assert report.status is AdaptationStatus.ABORTED_DEGENERATE_EDGE
         assert report.steps == ()
 
-    def test_degenerate_edge_in_solve_aborts_as_degenerate_edge(self, example1_tree, monkeypatch):
-        def degenerate(tree, p):
-            raise DegenerateEdgeError("coincident nodes")
-
-        monkeypatch.setattr(adaptation, "first_order_delta_s", degenerate)
-        report = adapt_stepwise(example1_tree, Perturbation.from_pairs([[0.1, 0], [0, 0], [0, 0]]))
+    def test_degenerate_edge_in_solve_aborts_as_degenerate_edge(self, example1_tree):
+        # move t0 by d so that its first-order step lands it on s0: t0 + d = s0 + X0 d
+        X0 = sensitivity_matrix(example1_tree)[:, :2]
+        t0, s0 = example1_tree.terminal_array()[0], example1_tree.steiner_array()[0]
+        d = np.linalg.solve(np.eye(2) - X0, s0 - t0)
+        p = Perturbation.from_pairs([d, [0, 0], [0, 0]])
+        report = adapt_stepwise(example1_tree, p, StepPolicy(steps=1))
         assert report.status is AdaptationStatus.ABORTED_DEGENERATE_EDGE
-        assert report.steps == ()
+        assert len(report.steps) == 1
+        assert report.steps[0].health.min_edge_length <= COINCIDENT_THRESHOLD
 
     def test_degenerate_pair_reports_not_raises(self):
         topo = SteinerTopology(n=4, k=2, edges_TS={(0, 0), (1, 0), (2, 1), (3, 1)}, edges_S={(0, 1)})

@@ -192,6 +192,17 @@ class TestRoundTrips:
         assert decoded.initial_health == report.initial_health
         assert decoded.initial_tree == report.initial_tree
 
+    @pytest.mark.parametrize("path", [("initial", "tree"), ("steps", 0, "tree"), ("final_tree",)])
+    def test_report_with_invalid_tree_rejected(self, example1_tree, path):
+        p = Perturbation.from_pairs([[0.1, 0], [0, 0], [0, 0]])
+        doc = json.loads(encode_report(adapt_stepwise(example1_tree, p, StepPolicy(steps=1))))
+        tree = doc
+        for key in path:
+            tree = tree[key]
+        tree["edges"].pop()  # leaves a disconnected tree with a degree-2 Steiner point
+        with pytest.raises(DocumentError, match="invalid tree"):
+            decode_report(json.dumps(doc))
+
     def test_report_unknown_status_rejected(self, example1_tree):
         report = adapt_stepwise(example1_tree, Perturbation.zero(3), StepPolicy(steps=1))
         text = encode_report(report).replace('"completed"', '"finished"')
