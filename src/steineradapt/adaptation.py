@@ -7,13 +7,14 @@ Steiner displacement:
 
     X = -(d2J/ds2)^(-1) (d2J/dt ds)
 
-The Steiner Hessian is block diagonal across the connected components of
-the Steiner-Steiner subgraph, so the system is solved independently per
-component. Large perturbations are handled stepwise: split the move into
-fragments and solve each one's first-order update with the Hessian factor
-of the current tree, without forming X. The stepper watches edge lengths,
-directions and Hessian conditioning and aborts instead of stepping through
-a topology breakdown.
+The Steiner Hessian is built from 2x2 blocks whose sparsity graph is the
+Steiner-Steiner forest, so a block LDL^T factor that eliminates each
+component from its leaves inward makes no fill-in: factor and solve take
+O(k) block operations. Large perturbations are handled stepwise: split the
+move into fragments and solve each one's first-order update with the
+factor of the current tree, without forming X. The stepper watches edge
+lengths, directions and Hessian conditioning and aborts instead of
+stepping through a topology breakdown.
 """
 
 from __future__ import annotations
@@ -23,18 +24,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import exact
-from .derivatives import hessian_ss, mixed_ts
+from .derivatives import SecondPartials, second_partials
 from .errors import DegenerateEdgeError, IllConditionedError, SteinerAdaptError
 from .trees import (
     COINCIDENT_THRESHOLD,
     SteinerTree,
     check_geometric_conditions,
     edge_vectors,
-    steiner_forest_components,
-    tree_length,
     validate_topology,
 )
 
@@ -43,6 +42,13 @@ from .trees import (
 _PD_RTOL = 1e-12
 # Residual gate for the component solves, relative to the matrix norm.
 _SOLVE_RTOL = 1e-10
+# Largest Hessian order (2k) whose condition number comes from a dense
+# eigvalsh per component; above it, Lanczos. Lanczos pays a near-constant
+# few milliseconds of ARPACK iterations and level-by-level solves, which
+# the O(k^3) eigvalsh overtakes at about k = 160 (measured on a 2-core
+# Xeon with one BLAS thread). ARPACK could not run on the smallest
+# matrices anyway.
+_DENSE_SPECTRUM_MAX = 320
 
 
 class AdaptationMode(Enum):
@@ -158,16 +164,73 @@ class AdaptationReport:
 
 
 @dataclass(frozen=True, eq=False)
+class _BlockFactor:
+    """Block LDL^T of the Steiner Hessian, eliminating each Steiner-forest
+    component from its leaves to its root along the plan's levels.
+
+    ``inverse[i]`` is the inverse of Steiner point ``i``'s 2x2 pivot and
+    ``definite[i]`` whether that pivot is positive definite; by Sylvester's
+    law of inertia a component is positive definite exactly when all of its
+    pivots are. ``multipliers`` holds, per level, ``inverse[child] @ B`` for
+    the Hessian block ``B`` joining each child to its parent.
+    """
+
+    partials: SecondPartials
+    inverse: np.ndarray
+    multipliers: tuple[np.ndarray, ...]
+    definite: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``H^-1 rhs`` for ``rhs`` of shape ``(k, 2, c)``."""
+        levels = self.partials.plan.forest.levels
+        y = rhs.copy()
+        for (child, parent, _), w in zip(levels, self.multipliers):
+            np.add.at(y, parent, -np.einsum("kba,kbc->kac", w, y[child]))
+        x = np.einsum("kab,kbc->kac", self.inverse, y)
+        for (child, parent, _), w in zip(reversed(levels), reversed(self.multipliers)):
+            x[child] -= np.einsum("kab,kbc->kac", w, x[parent])
+        return x
+
+
+def _inverse2(blocks: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of symmetric 2x2 blocks, exactly symmetric themselves."""
+    inverse = np.empty_like(blocks)
+    inverse[:, 0, 0], inverse[:, 1, 1] = blocks[:, 1, 1], blocks[:, 0, 0]
+    inverse[:, 0, 1] = inverse[:, 1, 0] = -0.5 * (blocks[:, 0, 1] + blocks[:, 1, 0])
+    inverse /= (inverse[:, 0, 0] * inverse[:, 1, 1] - inverse[:, 0, 1] * inverse[:, 0, 1])[:, None, None]
+    return inverse
+
+
+def _factor(partials: SecondPartials) -> _BlockFactor:
+    forest = partials.plan.forest
+    pivots = partials.diag.copy()
+    inverse = np.empty_like(pivots)
+    multipliers = []
+    # a singular pivot spreads inf and nan only through its own component,
+    # which its definite flag then marks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for child, parent, edge in forest.levels:
+            inverse[child] = _inverse2(pivots[child])
+            w = np.einsum("kab,kbc->kac", inverse[child], partials.off[edge])
+            np.add.at(pivots, parent, -np.einsum("kab,kbc->kac", partials.off[edge], w))
+            multipliers.append(w)
+        inverse[forest.roots] = _inverse2(pivots[forest.roots])
+    det = pivots[:, 0, 0] * pivots[:, 1, 1] - pivots[:, 0, 1] * pivots[:, 1, 0]
+    return _BlockFactor(partials, inverse, tuple(multipliers), (pivots[:, 0, 0] > 0) & (det > 0))
+
+
+@dataclass(frozen=True, eq=False)
 class _Evaluation:
-    """A configuration's edge vectors, health and ``(rows, H_c, Cholesky factor)``
-    per positive definite Steiner-forest component. ``error`` is what a solve
-    here raises: the degenerate edge or the first indefinite component."""
+    """A configuration's edge vectors and lengths, health and Hessian factor.
+    ``error`` is what a solve here raises: the degenerate edge (and then no
+    factor) or the first Steiner-forest component that is not definite."""
 
     tree: SteinerTree
     edges: np.ndarray
+    lengths: np.ndarray
     health: HealthReport
     error: SteinerAdaptError | None
-    factors: tuple[tuple[np.ndarray, np.ndarray, tuple], ...]
+    factor: _BlockFactor | None
 
 
 def _is_positive_definite(eigs: np.ndarray) -> bool:
@@ -176,8 +239,36 @@ def _is_positive_definite(eigs: np.ndarray) -> bool:
     return bool(eigs[-1] > 0 and eigs[0] > _PD_RTOL * eigs[-1])
 
 
+def _dense_spectra(partials: SecondPartials) -> list[np.ndarray]:
+    """The sorted spectrum of each component's dense Hessian."""
+    H = partials.hessian_blocks().to_dense()
+    spectra = []
+    for component in partials.plan.forest.components:
+        rows = np.array([r for i in component for r in (2 * i, 2 * i + 1)])
+        spectra.append(np.linalg.eigvalsh(H[np.ix_(rows, rows)]))
+    return spectra
+
+
+def _lanczos_extremes(factor: _BlockFactor) -> tuple[float, float, int]:
+    """The Hessian's smallest and largest eigenvalues from Lanczos (ARPACK),
+    and the component on which the eigenvector of the smallest is largest.
+
+    The largest comes from products with H, the smallest as the reciprocal
+    of the largest eigenvalue of H^-1 applied through the factor. Both runs
+    start from one fixed vector, so that equal inputs give equal bits.
+    """
+    plan = factor.partials.plan
+    k = plan.k
+    start = np.random.default_rng(0).standard_normal(2 * k)
+    largest = eigsh(factor.partials.sparse_hessian(), k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
+    solve = LinearOperator((2 * k, 2 * k), matvec=lambda v: factor.solve(v.reshape(k, 2, 1)).reshape(-1), dtype=float)
+    inverse, vector = eigsh(solve, k=1, which="LA", v0=start, tol=0)
+    weight = np.bincount(plan.forest.component, np.square(vector.reshape(k, 2)).sum(axis=1))
+    return float(1.0 / inverse[0]), float(largest[0]), int(np.argmax(weight))
+
+
 def _evaluate(tree: SteinerTree) -> _Evaluation:
-    """Health and factors of ``tree``; a degenerate configuration gives a report, not an error."""
+    """Health and factor of ``tree``; a degenerate configuration gives a report, not an error."""
     edges, lengths = edge_vectors(tree)
     try:
         geo = check_geometric_conditions(tree, angle_tol=1e-6)
@@ -188,56 +279,60 @@ def _evaluate(tree: SteinerTree) -> _Evaluation:
             hessian_condition=math.inf,
             positive_definite=False,
         )
-        return _Evaluation(tree, edges, health, e, ())
-    H = hessian_ss(tree).to_dense()
-    error = None
-    factors = []
-    spectra = [np.zeros(0)]
-    for component in steiner_forest_components(tree.topology):
-        rows = np.array([r for i in component for r in (2 * i, 2 * i + 1)])
-        Hc = H[np.ix_(rows, rows)]
-        eigs = np.linalg.eigvalsh(Hc)
-        spectra.append(eigs)
-        if _is_positive_definite(eigs):
-            factors.append((rows, Hc, cho_factor(Hc, lower=True)))
-        elif error is None:
-            error = IllConditionedError(
-                "ill-conditioned at this configuration: Hessian component "
-                f"{component} has eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-            )
-    # H is block diagonal over the components, so its spectrum is their union
-    eigs = np.sort(np.concatenate(spectra))
-    pd = _is_positive_definite(eigs)
-    if eigs.size == 0:
-        condition = 1.0
-    elif pd:
-        condition = float(eigs[-1] / eigs[0])
+        return _Evaluation(tree, edges, lengths, health, e, None)
+    forest = tree.topology.plan.forest
+    factor = _factor(second_partials(tree.topology.plan, edges, lengths))
+    component_definite = np.bincount(forest.component, ~factor.definite, len(forest.components)) == 0
+    offender = None
+    if 2 * tree.k <= _DENSE_SPECTRUM_MAX:
+        spectra = _dense_spectra(factor.partials)
+        for c, eigs in enumerate(spectra):
+            if offender is None and not (component_definite[c] and _is_positive_definite(eigs)):
+                offender, problem = c, f"has eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
+        # H is block diagonal over the components, so its spectrum is their union
+        eigs = np.sort(np.concatenate([np.zeros(0)] + spectra))
+        pd = offender is None and _is_positive_definite(eigs)
+        smallest, largest = (eigs[0], eigs[-1]) if eigs.size else (1.0, 1.0)
+    elif not component_definite.all():
+        offender = int(np.argmin(component_definite))
+        members = forest.components[offender]
+        i = members[int(np.argmin(factor.definite[list(members)]))]
+        pd, problem = False, f"has a block pivot at s{i} that is not positive definite"
     else:
-        condition = math.inf
+        smallest, largest, c = _lanczos_extremes(factor)
+        pd = _is_positive_definite(np.array([smallest, largest]))
+        if not pd:
+            offender, problem = c, f"has smallest eigenvalue {smallest:.3e} against a largest of {largest:.3e}"
+    error = None
+    if offender is not None:
+        error = IllConditionedError(
+            f"ill-conditioned at this configuration: Hessian component {list(forest.components[offender])} {problem}"
+        )
     health = HealthReport(
         min_edge_length=geo.min_edge_length,
         max_steiner_angle_deviation=geo.max_steiner_angle_deviation,
-        hessian_condition=condition,
+        hessian_condition=float(largest / smallest) if pd else math.inf,
         positive_definite=pd,
     )
-    return _Evaluation(tree, edges, health, error, tuple(factors))
+    return _Evaluation(tree, edges, lengths, health, error, factor)
 
 
-def _solve(evaluation: _Evaluation, rhs: np.ndarray, scale: float) -> np.ndarray:
-    """``H^-1 rhs`` per component; ``scale`` is the norm of the terminal
-    displacement behind ``rhs`` (1 for the whole mixed partial) in the residual gate."""
+def _solve(evaluation: _Evaluation, delta_t: np.ndarray, scale: float) -> np.ndarray:
+    """``H^-1 (-M delta_t)`` as ``(2k, c)`` for a flattened terminal displacement
+    ``(2n,)`` or ``(2n, c)``; ``scale`` is the norm of ``delta_t`` in the
+    per-component residual gate (1 for the identity, which gives X)."""
     if evaluation.error is not None:
         raise evaluation.error
-    x = np.zeros(rhs.shape)
-    for rows, Hc, factor in evaluation.factors:
-        xc = cho_solve(factor, rhs[rows])
-        residual = np.linalg.norm(Hc @ xc - rhs[rows])
-        if residual > _SOLVE_RTOL * np.linalg.norm(Hc) * scale:
-            raise IllConditionedError(
-                f"ill-conditioned at this configuration: solve residual {residual:.3e}"
-            )
-        x[rows] = xc
-    return x
+    factor = evaluation.factor
+    rhs = -factor.partials.mixed_times(delta_t)
+    x = factor.solve(rhs)
+    forest = factor.partials.plan.forest
+    squares = np.square(factor.partials.hessian_times(x) - rhs).sum(axis=(1, 2))
+    residual = np.sqrt(np.bincount(forest.component, squares, len(forest.components)))
+    failed = np.flatnonzero(residual > _SOLVE_RTOL * factor.partials.hessian_norms() * scale)
+    if failed.size:
+        raise IllConditionedError(f"ill-conditioned at this configuration: solve residual {residual[failed[0]]:.3e}")
+    return x.reshape(2 * evaluation.tree.k, -1)
 
 
 def _check_topology(tree: SteinerTree) -> None:
@@ -255,9 +350,10 @@ def _check_perturbation(tree: SteinerTree, p: Perturbation) -> None:
 def sensitivity_matrix(tree: SteinerTree) -> np.ndarray:
     """The 2k x 2n linear map from terminal displacement to Steiner displacement.
 
-    Solved per Steiner-forest component with a symmetric (Cholesky)
-    factorization; columns for terminals not attached to a component are
-    exactly zero on that component's rows.
+    Solved as 2n columns through the block LDL^T factor of the Steiner
+    Hessian, which is block diagonal over the Steiner-forest components;
+    columns for terminals not attached to a component are exactly zero on
+    that component's rows.
 
     Raises:
         DegenerateEdgeError: an edge is no longer than the coincidence threshold.
@@ -268,7 +364,7 @@ def sensitivity_matrix(tree: SteinerTree) -> np.ndarray:
     _check_topology(tree)
     if tree.k == 0:
         return np.zeros((0, 2 * tree.n))
-    return _solve(_evaluate(tree), -mixed_ts(tree).to_dense(), 1.0)
+    return _solve(_evaluate(tree), np.eye(2 * tree.n), 1.0)
 
 
 def first_order_delta_s(tree: SteinerTree, p: Perturbation) -> np.ndarray:
@@ -276,18 +372,23 @@ def first_order_delta_s(tree: SteinerTree, p: Perturbation) -> np.ndarray:
     _check_perturbation(tree, p)
     if tree.k == 0:
         return np.zeros(0)
-    return _solve(_evaluate(tree), -(mixed_ts(tree).to_dense() @ p.delta_t), float(np.linalg.norm(p.delta_t)))
+    return _solve(_evaluate(tree), p.delta_t, float(np.linalg.norm(p.delta_t))).reshape(-1)
 
 
 def health_metrics(tree: SteinerTree) -> HealthReport:
-    """Edge, angle and conditioning metrics; degeneracy yields a report, not an error."""
+    """Edge, angle and conditioning metrics; degeneracy yields a report, not an error.
+
+    Raises:
+        ValueError: the Steiner-Steiner edges contain a cycle, which no
+            valid topology has.
+    """
     return _evaluate(tree).health
 
 
 def _advance(evaluation: _Evaluation, frag: np.ndarray, mode: AdaptationMode) -> tuple[np.ndarray, _Evaluation]:
     """One first-order step from an evaluated configuration: the Steiner shift and the evaluated result."""
     tree = evaluation.tree
-    ds = _solve(evaluation, -(mixed_ts(tree).to_dense() @ frag), float(np.linalg.norm(frag)))
+    ds = _solve(evaluation, frag, float(np.linalg.norm(frag))).reshape(-1)
     new_tree = SteinerTree.from_arrays(tree.topology, tree.t_vector() + frag, tree.s_vector() + ds)
     if mode is AdaptationMode.CORRECTED and tree.k > 0:
         new_tree = exact.optimize_fixed_topology(
@@ -377,7 +478,7 @@ def adapt_stepwise(tree: SteinerTree, p: Perturbation, policy: StepPolicy | None
                 delta_s=ds,
                 tree=reached.tree,
                 health=reached.health,
-                tree_length=tree_length(reached.tree),
+                tree_length=float(reached.lengths.sum()),
             )
         )
         applied = applied + frag
@@ -390,7 +491,7 @@ def adapt_stepwise(tree: SteinerTree, p: Perturbation, policy: StepPolicy | None
     return AdaptationReport(
         initial_tree=tree,
         initial_health=start.health,
-        initial_length=tree_length(tree),
+        initial_length=float(start.lengths.sum()),
         steps=tuple(records),
         final_tree=current.tree,
         status=status,

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.sparse import bsr_array
 
 from .errors import DegenerateEdgeError
-from .trees import COINCIDENT_THRESHOLD, NodeRef, SteinerTree, nondegenerate_edge_vectors
+from .trees import COINCIDENT_THRESHOLD, EdgePlan, NodeRef, SteinerTree, nondegenerate_edge_vectors
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,85 @@ def gradient_s(tree: SteinerTree) -> np.ndarray:
     return g[tree.n :].reshape(-1)
 
 
+@dataclass(frozen=True, eq=False)
+class SecondPartials:
+    """The second partials of the cost at one configuration, as stacks of 2x2 blocks.
+
+    Indexed over the topology's :class:`~steineradapt.trees.EdgePlan`:
+    ``diag[i]`` is the Steiner Hessian's block (i, i); ``off[e]`` is its
+    block at both (m, l) and (l, m) for the plan's e-th Steiner-Steiner
+    edge (m, l); ``mixed[e]`` is the mixed partial's block (i, j) for the
+    plan's e-th terminal-Steiner edge (t_j, s_i). Every other block is zero.
+    """
+
+    plan: EdgePlan
+    diag: np.ndarray
+    off: np.ndarray
+    mixed: np.ndarray
+
+    def sparse_hessian(self) -> bsr_array:
+        """The Steiner Hessian as a scipy sparse matrix of 2x2 blocks, for
+        callers that multiply by it many times."""
+        plan = self.plan
+        ss = plan.steiner_steiner
+        m, l, i = plan.tail[ss] - plan.n, plan.head[ss] - plan.n, np.arange(plan.k)
+        rows, cols = np.concatenate((i, m, l)), np.concatenate((i, l, m))
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=plan.k))))
+        blocks = np.concatenate((self.diag, self.off, self.off))[order]
+        return bsr_array((blocks, cols[order], indptr), shape=(2 * plan.k, 2 * plan.k))
+
+    def hessian_blocks(self) -> BlockMatrix2:
+        """The Steiner Hessian as a :class:`BlockMatrix2`."""
+        plan = self.plan
+        ss = plan.steiner_steiner
+        blocks = {(i, i): b for i, b in enumerate(self.diag)}
+        for m, l, b in zip((plan.tail[ss] - plan.n).tolist(), (plan.head[ss] - plan.n).tolist(), self.off):
+            blocks[(m, l)] = b
+            blocks[(l, m)] = b
+        return BlockMatrix2(plan.k, plan.k, blocks)
+
+    def hessian_times(self, x: np.ndarray) -> np.ndarray:
+        """``H x`` for ``x`` of shape ``(k, 2, c)``, one block product per block."""
+        plan = self.plan
+        ss = plan.steiner_steiner
+        m, l = plan.tail[ss] - plan.n, plan.head[ss] - plan.n
+        y = np.einsum("kab,kbc->kac", self.diag, x)
+        np.add.at(y, m, np.einsum("kab,kbc->kac", self.off, x[l]))
+        np.add.at(y, l, np.einsum("kab,kbc->kac", self.off, x[m]))
+        return y
+
+    def hessian_norms(self) -> np.ndarray:
+        """Frobenius norm of the Hessian restricted to each Steiner-forest component."""
+        plan, forest = self.plan, self.plan.forest
+        ss = plan.steiner_steiner
+        squares = np.bincount(forest.component, np.square(self.diag).sum(axis=(1, 2)), len(forest.components))
+        squares += 2 * np.bincount(
+            forest.component[plan.tail[ss] - plan.n], np.square(self.off).sum(axis=(1, 2)), len(forest.components)
+        )
+        return np.sqrt(squares)
+
+    def mixed_times(self, delta_t: np.ndarray) -> np.ndarray:
+        """``M delta_t`` as ``(k, 2, c)`` for a flattened terminal displacement ``(2n,)`` or ``(2n, c)``."""
+        plan = self.plan
+        ts = plan.terminal_steiner
+        delta_t = delta_t.reshape(plan.n, 2, -1)
+        y = np.zeros((plan.k, 2, delta_t.shape[2]))
+        np.add.at(y, plan.head[ts] - plan.n, self.mixed @ delta_t[plan.tail[ts]])
+        return y
+
+
+def second_partials(plan: EdgePlan, u: np.ndarray, lengths: np.ndarray) -> SecondPartials:
+    """:class:`SecondPartials` from the edge vectors and lengths of a nondegenerate configuration."""
+    n, k = plan.n, plan.k
+    proj = _projections(u, lengths)
+    ss = plan.steiner_steiner
+    diag = np.zeros((k, 2, 2))
+    np.add.at(diag, plan.head[plan.steiner_edges] - n, proj[plan.steiner_edges])
+    np.add.at(diag, plan.tail[ss] - n, proj[ss])
+    return SecondPartials(plan, diag, -proj[ss], -proj[plan.terminal_steiner])
+
+
 def hessian_ss(tree: SteinerTree) -> BlockMatrix2:
     """Second partial of the cost in the Steiner variables, as 2x2 blocks.
 
@@ -111,17 +191,7 @@ def hessian_ss(tree: SteinerTree) -> BlockMatrix2:
     negated projection of their connecting edge. Non-adjacent pairs are
     absent (zero).
     """
-    n, k, plan = tree.n, tree.k, tree.topology.plan
-    proj = _projections(*nondegenerate_edge_vectors(tree))
-    ss = plan.steiner_steiner
-    diag = np.zeros((k, 2, 2))
-    np.add.at(diag, plan.head[plan.steiner_edges] - n, proj[plan.steiner_edges])
-    np.add.at(diag, plan.tail[ss] - n, proj[ss])
-    blocks = {(i, i): diag[i] for i in range(k)}
-    for m, l, p in zip((plan.tail[ss] - n).tolist(), (plan.head[ss] - n).tolist(), proj[ss]):
-        blocks[(m, l)] = -p
-        blocks[(l, m)] = -p
-    return BlockMatrix2(k, k, blocks)
+    return second_partials(tree.topology.plan, *nondegenerate_edge_vectors(tree)).hessian_blocks()
 
 
 def mixed_ts(tree: SteinerTree) -> BlockMatrix2:
@@ -130,11 +200,11 @@ def mixed_ts(tree: SteinerTree) -> BlockMatrix2:
     Block (i, j) is the negated edge projection of the terminal-Steiner
     edge between them when such an edge exists, and absent otherwise.
     """
-    n, plan = tree.n, tree.topology.plan
-    proj = _projections(*nondegenerate_edge_vectors(tree))
+    plan = tree.topology.plan
+    partials = second_partials(plan, *nondegenerate_edge_vectors(tree))
     ts = plan.terminal_steiner
-    blocks = {(i - n, j): -p for j, i, p in zip(plan.tail[ts].tolist(), plan.head[ts].tolist(), proj[ts])}
-    return BlockMatrix2(tree.k, n, blocks)
+    blocks = {(i - plan.n, j): b for j, i, b in zip(plan.tail[ts].tolist(), plan.head[ts].tolist(), partials.mixed)}
+    return BlockMatrix2(tree.k, tree.n, blocks)
 
 
 def edge_terms(tree: SteinerTree) -> list[EdgeTerm]:

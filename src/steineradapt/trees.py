@@ -75,19 +75,93 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class SteinerForest:
+    """The Steiner-Steiner subgraph of a topology, ordered for block elimination.
+
+    ``components`` partitions the Steiner indices ``0..k-1`` into sorted
+    tuples ordered by smallest member, and ``component[i]`` is the position
+    of Steiner point ``i``'s component in it. Each component is rooted at a
+    centre (a point of least eccentricity, the smaller index of two), listed
+    in ``roots``. ``levels`` holds the other points by depth, deepest first,
+    as ``(child, parent, edge)`` index arrays: the points, their parents,
+    and the position among the plan's Steiner-Steiner edges of the edge
+    joining them. Eliminating the levels in order creates no fill-in, and
+    rooting at the centre keeps their number at the component's radius.
+    """
+
+    components: tuple[tuple[int, ...], ...]
+    component: np.ndarray
+    roots: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _build_forest(k: int, ends_a: list[int], ends_b: list[int]) -> SteinerForest:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for e, (a, b) in enumerate(zip(ends_a, ends_b)):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    component, parent, edge, depth = [-1] * k, [-1] * k, [-1] * k, [0] * k
+    components: list[tuple[int, ...]] = []
+    roots: list[int] = []
+    for start in range(k):
+        if component[start] >= 0:
+            continue
+        members = [start]
+        component[start] = len(components)
+        for u in members:  # the list grows while it is walked
+            for w, _ in adj[u]:
+                if component[w] < 0:
+                    component[w] = len(components)
+                    members.append(w)
+        if sum(len(adj[u]) for u in members) != 2 * len(members) - 2:
+            raise ValueError(f"the Steiner-Steiner edges among {sorted(members)} contain a cycle")
+        # strip leaves until one or two centres remain
+        degree = {u: len(adj[u]) for u in members}
+        layer, remaining = [u for u in members if degree[u] <= 1], len(members)
+        while remaining > 2:
+            remaining -= len(layer)
+            stripped, layer = layer, []
+            for u in stripped:
+                for w, _ in adj[u]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        layer.append(w)
+        order = [min(layer)]
+        for u in order:
+            for w, e in adj[u]:
+                if w != parent[u]:
+                    parent[w], edge[w], depth[w] = u, e, depth[u] + 1
+                    order.append(w)
+        roots.append(order[0])
+        components.append(tuple(sorted(members)))
+    by_depth: dict[int, list[int]] = {}
+    for i in range(k):
+        if depth[i] > 0:
+            by_depth.setdefault(depth[i], []).append(i)
+    levels = tuple(
+        tuple(_frozen_array(values, np.intp) for values in (nodes, [parent[i] for i in nodes], [edge[i] for i in nodes]))
+        for _, nodes in sorted(by_depth.items(), reverse=True)
+    )
+    return SteinerForest(tuple(components), _frozen_array(component, np.intp), _frozen_array(roots, np.intp), levels)
+
+
+@dataclass(frozen=True, eq=False)
 class EdgePlan:
     """A topology's edges as index arrays, in ``all_edges()`` order.
 
-    Nodes are numbered in one stack: terminals ``0..n-1``, then Steiner
-    points ``n..n+k-1``. Edge ``e`` joins ``tail[e]`` to ``head[e]`` and
-    its edge vector is ``position[head[e]] - position[tail[e]]``. The
-    head of every edge touching a Steiner point is a Steiner point, and
-    ``steiner_edges`` spans those edges. Each row of ``pair_edges`` is two
-    edges meeting at one node, ``pair_sign`` is +1 when both leave that
-    node along their edge vectors' directions (or both against), and
-    ``pair_at_steiner`` marks pairs meeting at a Steiner point.
+    Nodes are numbered in one stack: the ``n`` terminals ``0..n-1``, then
+    the ``k`` Steiner points ``n..n+k-1``. Edge ``e`` joins ``tail[e]`` to
+    ``head[e]`` and its edge vector is ``position[head[e]] -
+    position[tail[e]]``. The head of every edge touching a Steiner point is
+    a Steiner point, and ``steiner_edges`` spans those edges. Each row of
+    ``pair_edges`` is two edges meeting at one node, ``pair_sign`` is +1
+    when both leave that node along their edge vectors' directions (or both
+    against), and ``pair_at_steiner`` marks pairs meeting at a Steiner
+    point.
     """
 
+    n: int
+    k: int
     tail: np.ndarray
     head: np.ndarray
     refs: tuple[tuple[NodeRef, NodeRef], ...]
@@ -98,6 +172,16 @@ class EdgePlan:
     pair_edges: np.ndarray
     pair_sign: np.ndarray
     pair_at_steiner: np.ndarray
+
+    @cached_property
+    def forest(self) -> SteinerForest:
+        """The Steiner-Steiner subgraph ordered for elimination, built on first use.
+
+        Raises:
+            ValueError: the Steiner-Steiner edges contain a cycle.
+        """
+        ss = self.steiner_steiner
+        return _build_forest(self.k, (self.tail[ss] - self.n).tolist(), (self.head[ss] - self.n).tolist())
 
 
 def _build_plan(topology: SteinerTopology) -> EdgePlan:
@@ -127,6 +211,8 @@ def _build_plan(topology: SteinerTopology) -> EdgePlan:
         for e2, s2 in meeting[x + 1 :]
     ]
     return EdgePlan(
+        n=n,
+        k=k,
         tail=_frozen_array([a for a, _ in ends], np.intp),
         head=_frozen_array([b for _, b in ends], np.intp),
         refs=tuple(refs),
@@ -371,32 +457,12 @@ def steiner_forest_components(topology: SteinerTopology) -> list[list[int]]:
 
     Returns a partition of ``{0, ..., k-1}`` as sorted lists, ordered by
     smallest member. Steiner points with no Steiner neighbor form
-    singletons.
+    singletons. Read from the topology's cached :class:`SteinerForest`.
+
+    Raises:
+        ValueError: the Steiner-Steiner edges contain a cycle.
     """
-    adj: dict[int, list[int]] = {i: [] for i in range(topology.k)}
-    for m, l in topology.edges_S:
-        adj[m].append(l)
-        adj[l].append(m)
-    seen: set[int] = set()
-    components: list[list[int]] = []
-    for start in range(topology.k):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        components.append(sorted(comp))
-    components.sort(key=lambda c: c[0])
-    return components
-
-
+    return [list(c) for c in topology.plan.forest.components]
 
 
 def edge_vectors(tree: SteinerTree) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from steineradapt import (
     min_edge_length,
     mixed_ts,
     optimize_fixed_topology,
+    steiner_forest_components,
 )
 
 # Finite-difference convention used by every derivative check: central
@@ -86,6 +87,111 @@ def dense_step_oracle(tree: SteinerTree, frag: np.ndarray) -> tuple[np.ndarray, 
     H = hessian_ss(tree).to_dense()
     eigs = np.linalg.eigvalsh(H)
     return np.linalg.solve(H, -(mixed_ts(tree).to_dense() @ frag)), float(eigs[-1] / eigs[0])
+
+
+def dense_health_oracle(tree: SteinerTree) -> tuple[bool, float, list[int] | None]:
+    """(positive definite, condition number, first offending component) from a
+    dense ``eigvalsh`` of each Steiner-forest component's Hessian.
+
+    A component offends when its smallest eigenvalue is not above 1e-12 times
+    its largest; the whole Hessian is judged the same way on the union of the
+    component spectra, and its condition number is infinite when it fails.
+    """
+    H = hessian_ss(tree).to_dense()
+    offender, spectra = None, [np.zeros(0)]
+    for component in steiner_forest_components(tree.topology):
+        rows = [r for i in component for r in (2 * i, 2 * i + 1)]
+        eigs = np.linalg.eigvalsh(H[np.ix_(rows, rows)])
+        spectra.append(eigs)
+        if offender is None and not (eigs[-1] > 0 and eigs[0] > 1e-12 * eigs[-1]):
+            offender = component
+    eigs = np.sort(np.concatenate(spectra))
+    if eigs.size == 0:
+        return True, 1.0, None
+    pd = offender is None and bool(eigs[0] > 1e-12 * eigs[-1])
+    return pd, float(eigs[-1] / eigs[0]) if pd else math.inf, offender
+
+
+def edge_factor_condition(tree: SteinerTree) -> float:
+    """The Steiner Hessian's condition number from the singular values of its edge factor.
+
+    Each edge projection is ``w w^T / |u|`` with ``w`` the unit normal of the
+    edge vector ``u``, so ``H = B^T B`` where row ``e`` of ``B`` holds
+    ``w / sqrt(|u|)`` at the edge's Steiner head and its negative at a
+    Steiner tail. An SVD of ``B`` resolves the smallest eigenvalue to about
+    ``eps * sqrt(cond)`` relative, where a dense ``eigvalsh`` of ``H`` is
+    only good to about ``eps * cond``.
+    """
+    plan = tree.topology.plan
+    nodes = np.concatenate((tree.terminal_positions, tree.steiner_positions))
+    B = np.zeros((len(plan.refs), tree.n + tree.k, 2))
+    for e in range(plan.steiner_edges.start, plan.steiner_edges.stop):
+        u = nodes[plan.head[e]] - nodes[plan.tail[e]]
+        w = np.array([-u[1], u[0]]) / np.linalg.norm(u) ** 1.5
+        B[e, plan.head[e]] += w
+        B[e, plan.tail[e]] -= w
+    singular = np.linalg.svd(B[:, tree.n :].reshape(len(plan.refs), -1), compute_uv=False)
+    return float((singular[0] / singular[-1]) ** 2)
+
+
+def grown_tree(rng: np.random.Generator, k: int, scale: float = 1.0) -> SteinerTree:
+    """A full tree with ``k`` Steiner points that all meet at exactly 120 degrees.
+
+    Starting from one Steiner point with three open branches, each growth
+    step ends a random open branch, at a random length, in a new Steiner
+    point that opens two branches at +-60 degrees; the branches still open
+    at the end lead to terminals. Every Steiner point's three unit edge
+    vectors sum to zero, so the tree is a fixed-topology optimum. Branch
+    lengths shrink with depth so that distant branches rarely cross.
+    """
+    steiner = [np.zeros(2)]
+    base = rng.uniform(0.0, 2 * math.pi)
+    branches = [(0, base + j * 2 * math.pi / 3, 0) for j in range(3)]
+    edges_S, edges_TS, terminals = [], [], []
+
+    def end(branch) -> np.ndarray:
+        at, angle, depth = branch
+        return steiner[at] + scale * 0.8**depth * rng.uniform(0.5, 1.0) * np.array([math.cos(angle), math.sin(angle)])
+
+    for _ in range(k - 1):
+        branch = branches.pop(int(rng.integers(len(branches))))
+        steiner.append(end(branch))
+        edges_S.append((branch[0], len(steiner) - 1))
+        at, angle, depth = branch
+        branches += [(len(steiner) - 1, angle + s * math.pi / 3, depth + 1) for s in (1, -1)]
+    for branch in branches:
+        terminals.append(end(branch))
+        edges_TS.append((len(terminals) - 1, branch[0]))
+    topology = SteinerTopology(n=len(terminals), k=k, edges_TS=edges_TS, edges_S=edges_S)
+    return SteinerTree.from_arrays(topology, terminals, steiner)
+
+
+def caterpillar_tree(lengths: np.ndarray) -> SteinerTree:
+    """A zigzag spine of ``k = len(lengths) - 1`` Steiner points, each with one
+    terminal leg, meeting at exactly 120 degrees everywhere.
+
+    Spine edge ``i`` has length ``lengths[i]`` and direction +-30 degrees,
+    alternating, and the legs point alternately up and down with the length
+    of the spine edge before them. Each end of the spine carries one more
+    terminal, so the Steiner forest is a path whose depth from its centre is
+    about k / 2.
+    """
+    k = len(lengths) - 1
+    direction = [np.array([math.cos(a), math.sin(a)]) for a in (math.pi / 6, -math.pi / 6)]
+    steiner = [np.zeros(2)]
+    for i in range(k - 1):
+        steiner.append(steiner[-1] + lengths[i + 1] * direction[i % 2])
+    # the first terminal continues the spine backwards; the last continues it forwards
+    terminals = [steiner[0] - lengths[0] * direction[1]]
+    edges_TS = [(0, 0)]
+    for i in range(k):
+        leg = np.array([0.0, 1.0 if i % 2 else -1.0])
+        terminals.append(steiner[i] + lengths[i] * leg)
+        edges_TS.append((i + 1, i))
+    terminals.append(steiner[-1] + lengths[k] * direction[(k - 1) % 2])
+    edges_TS.append((k + 1, k - 1))
+    topology = SteinerTopology(n=k + 2, k=k, edges_TS=edges_TS, edges_S=[(i, i + 1) for i in range(k - 1)])
+    return SteinerTree.from_arrays(topology, terminals, steiner)
 
 
 def node_position(tree: SteinerTree, ref: NodeRef) -> np.ndarray:

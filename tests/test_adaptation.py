@@ -15,6 +15,7 @@ from steineradapt import (
     adapt_single,
     adapt_stepwise,
     first_order_delta_s,
+    gradient_s,
     health_metrics,
     optimize_fixed_topology,
     sensitivity_matrix,
@@ -23,7 +24,9 @@ from steineradapt import (
     tree_length,
 )
 
-from conftest import dense_step_oracle
+from steineradapt.trees import edge_vectors
+
+from conftest import dense_step_oracle, grown_tree
 
 PRINTED_X = np.array(
     [
@@ -238,6 +241,14 @@ class TestAdaptStepwise:
         assert np.abs(moved[2:]).max() == 0.0
         assert np.abs(moved[:2]).max() > 1e-4
 
+    def test_recorded_lengths_equal_tree_length(self, bridged_tree):
+        rng = np.random.default_rng(30)
+        for tree in (bridged_tree, grown_tree(rng, 40)):
+            p = Perturbation(rng.uniform(-0.01, 0.01, 2 * tree.n))
+            report = adapt_stepwise(tree, p, StepPolicy(steps=3))
+            assert report.initial_length == tree_length(tree)
+            assert [rec.tree_length for rec in report.steps] == [tree_length(rec.tree) for rec in report.steps]
+
     @pytest.mark.parametrize("steiner", [(0.5, 0.3), (0.5, 0.0)])
     def test_invalid_topology_rejected(self, steiner):
         # s0 has degree 2; placed on the line t0-t1 its Hessian is singular too
@@ -296,6 +307,31 @@ class TestBreakdownDetection:
         before = np.diff(rect_tree.steiner_array(), axis=0)[0]
         after = np.diff(report.final_tree.steiner_array(), axis=0)[0]
         assert before @ after < 0
+
+    def test_large_moves_on_grown_trees_never_complete_reversed(self):
+        # Moving each terminal by 0.3 x its edge carries some of these trees
+        # through a topology change. Such a run must stop as degenerate: a
+        # completed run keeps every edge's direction and ends near an optimum,
+        # never at a reversed edge with ||dJ/ds|| near 2 sqrt(2).
+        statuses = set()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            tree = grown_tree(rng, 98)
+            edges, lengths = edge_vectors(tree)
+            ts = tree.topology.plan.terminal_steiner
+            reach = np.zeros(tree.n)
+            reach[tree.topology.plan.tail[ts]] = 0.3 * lengths[ts]
+            angle = rng.uniform(0.0, 2 * math.pi, tree.n)
+            p = Perturbation((reach[:, None] * np.column_stack((np.cos(angle), np.sin(angle)))).reshape(-1))
+            report = adapt_stepwise(tree, p, StepPolicy(steps=4))
+            statuses.add(report.status)
+            if report.status is AdaptationStatus.COMPLETED:
+                final_edges, _ = edge_vectors(report.final_tree)
+                assert (np.einsum("ij,ij->i", edges, final_edges) > 0).all()
+                assert np.linalg.norm(gradient_s(report.final_tree)) < 0.2
+            else:
+                assert report.status is AdaptationStatus.ABORTED_DEGENERATE_EDGE
+        assert statuses == {AdaptationStatus.COMPLETED, AdaptationStatus.ABORTED_DEGENERATE_EDGE}
 
 
 class TestDenseOracle:

@@ -217,6 +217,25 @@ class TestForestComponents:
     def test_two_clusters_bridged_by_terminal(self):
         assert steiner_forest_components(BRIDGED_TOPOLOGY) == [[0, 1], [2, 3]]
 
+    def test_cycle_rejected(self):
+        topo = SteinerTopology(n=3, k=3, edges_TS={(0, 0), (1, 1), (2, 2)}, edges_S={(0, 1), (1, 2), (0, 2)})
+        with pytest.raises(ValueError, match="cycle"):
+            steiner_forest_components(topo)
+
+    def test_elimination_order_roots_each_component_at_its_centre(self):
+        # the path s0-s1-s2-s3-s4 is rooted at s2 and the bridged clusters at their smaller ends
+        path = SteinerTopology(n=7, k=5, edges_S={(0, 1), (1, 2), (2, 3), (3, 4)})
+        forest = path.plan.forest
+        assert forest.roots.tolist() == [2]
+        assert [[a.tolist() for a in level] for level in forest.levels] == [
+            [[0, 4], [1, 3], [0, 3]],
+            [[1, 3], [2, 2], [1, 2]],
+        ]
+        bridged = BRIDGED_TOPOLOGY.plan.forest
+        assert bridged.roots.tolist() == [0, 2]
+        assert bridged.component.tolist() == [0, 0, 1, 1]
+        assert [[a.tolist() for a in level] for level in bridged.levels] == [[[1, 3], [0, 2], [0, 1]]]
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_partition_property(self, n):
         for topo in enumerate_full_topologies(n):
