@@ -42,12 +42,12 @@ from .trees import (
 _PD_RTOL = 1e-12
 # Residual gate for the component solves, relative to the matrix norm.
 _SOLVE_RTOL = 1e-10
-# Largest Hessian order (2k) whose condition number comes from a dense
-# eigvalsh per component; above it, Lanczos. Lanczos pays a near-constant
-# few milliseconds of ARPACK iterations and level-by-level solves, which
-# the O(k^3) eigvalsh overtakes at about k = 160 (measured on a 2-core
-# Xeon with one BLAS thread). ARPACK could not run on the smallest
-# matrices anyway.
+# Most Hessian rows (2 per Steiner point) of a Steiner-forest component
+# whose extreme eigenvalues come from a dense eigvalsh; a larger component
+# gets Lanczos. Lanczos pays a near-constant few milliseconds of ARPACK
+# iterations and level-by-level solves, which the O(k^3) eigvalsh
+# overtakes at about k = 160 (measured on a 2-core Xeon with one BLAS
+# thread). ARPACK could not run on the smallest matrices anyway.
 _DENSE_SPECTRUM_MAX = 320
 
 
@@ -233,38 +233,75 @@ class _Evaluation:
     factor: _BlockFactor | None
 
 
-def _is_positive_definite(eigs: np.ndarray) -> bool:
-    if eigs.size == 0:
-        return True
-    return bool(eigs[-1] > 0 and eigs[0] > _PD_RTOL * eigs[-1])
+def _is_positive_definite(smallest: float, largest: float) -> bool:
+    return bool(largest > 0 and smallest > _PD_RTOL * largest)
 
 
-def _dense_spectra(partials: SecondPartials) -> list[np.ndarray]:
-    """The sorted spectrum of each component's dense Hessian."""
-    H = partials.hessian_blocks().to_dense()
-    spectra = []
-    for component in partials.plan.forest.components:
-        rows = np.array([r for i in component for r in (2 * i, 2 * i + 1)])
-        spectra.append(np.linalg.eigvalsh(H[np.ix_(rows, rows)]))
-    return spectra
+def _dense_component(partials: SecondPartials, members: np.ndarray) -> np.ndarray:
+    """The Hessian's rows and columns of the Steiner points ``members``, in that order, as a dense matrix."""
+    plan = partials.plan
+    ss = plan.steiner_steiner
+    diagonal = np.arange(members.size)
+    local = np.full(plan.k, -1)
+    local[members] = diagonal
+    a, b = local[plan.tail[ss] - plan.n], local[plan.head[ss] - plan.n]
+    inside = a >= 0  # a Steiner-Steiner edge lies in the component of either end
+    blocks = np.zeros((members.size, members.size, 2, 2))
+    blocks[diagonal, diagonal] = partials.diag[members]
+    blocks[a[inside], b[inside]] = blocks[b[inside], a[inside]] = partials.off[inside]
+    return blocks.transpose(0, 2, 1, 3).reshape(2 * members.size, 2 * members.size)
 
 
-def _lanczos_extremes(factor: _BlockFactor) -> tuple[float, float, int]:
-    """The Hessian's smallest and largest eigenvalues from Lanczos (ARPACK),
-    and the component on which the eigenvector of the smallest is largest.
+def _lanczos_extremes(factor: _BlockFactor, members: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest eigenvalue of the Hessian on the Steiner points
+    ``members`` of one component, from Lanczos (ARPACK).
 
     The largest comes from products with H, the smallest as the reciprocal
-    of the largest eigenvalue of H^-1 applied through the factor. Both runs
-    start from one fixed vector, so that equal inputs give equal bits.
+    of the largest eigenvalue of H^-1 applied through the factor. H is
+    block diagonal over the components, so both act on a vector that is
+    zero off the component. Both runs start from one fixed vector, so that
+    equal inputs give equal bits.
     """
-    plan = factor.partials.plan
-    k = plan.k
-    start = np.random.default_rng(0).standard_normal(2 * k)
-    largest = eigsh(factor.partials.sparse_hessian(), k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
-    solve = LinearOperator((2 * k, 2 * k), matvec=lambda v: factor.solve(v.reshape(k, 2, 1)).reshape(-1), dtype=float)
-    inverse, vector = eigsh(solve, k=1, which="LA", v0=start, tol=0)
-    weight = np.bincount(plan.forest.component, np.square(vector.reshape(k, 2)).sum(axis=1))
-    return float(1.0 / inverse[0]), float(largest[0]), int(np.argmax(weight))
+    k = factor.partials.plan.k
+    rows = (2 * members[:, None] + np.arange(2)).reshape(-1) if members.size < k else slice(None)
+    size = 2 * members.size
+
+    def on_component(apply):
+        def matvec(v: np.ndarray) -> np.ndarray:
+            full = np.zeros(2 * k)
+            full[rows] = v.reshape(-1)
+            return apply(full)[rows]
+
+        return LinearOperator((size, size), matvec=matvec, dtype=float)
+
+    start = np.random.default_rng(0).standard_normal(size)
+    hessian = factor.partials.hessian
+    largest = eigsh(on_component(hessian.dot), k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
+    solve = on_component(lambda v: factor.solve(v.reshape(k, 2, 1)).reshape(-1))
+    inverse = eigsh(solve, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
+    return float(1.0 / inverse[0]), float(largest[0])
+
+
+def _component_spectrum(factor: _BlockFactor, members: np.ndarray) -> tuple[float, float, str | None]:
+    """The extreme eigenvalues of the Hessian on one Steiner-forest component,
+    and what makes the component fail the definiteness test (None if it passes).
+
+    A component of at most ``_DENSE_SPECTRUM_MAX`` rows gets a dense
+    eigvalsh; a larger one Lanczos, unless a block pivot already shows it
+    is not positive definite.
+    """
+    definite = factor.definite[members]
+    if 2 * members.size <= _DENSE_SPECTRUM_MAX:
+        eigs = np.linalg.eigvalsh(_dense_component(factor.partials, members))
+        smallest, largest = eigs[0], eigs[-1]
+    elif not definite.all():
+        i = members[int(np.argmin(definite))]
+        return math.nan, math.nan, f"has a block pivot at s{i} that is not positive definite"
+    else:
+        smallest, largest = _lanczos_extremes(factor, members)
+    if definite.all() and _is_positive_definite(smallest, largest):
+        return smallest, largest, None
+    return smallest, largest, f"has eigenvalue range [{smallest:.3e}, {largest:.3e}]"
 
 
 def _evaluate(tree: SteinerTree) -> _Evaluation:
@@ -280,34 +317,20 @@ def _evaluate(tree: SteinerTree) -> _Evaluation:
             positive_definite=False,
         )
         return _Evaluation(tree, edges, lengths, health, e, None)
-    forest = tree.topology.plan.forest
+    components = tree.topology.plan.forest.components
     factor = _factor(second_partials(tree.topology.plan, edges, lengths))
-    component_definite = np.bincount(forest.component, ~factor.definite, len(forest.components)) == 0
-    offender = None
-    if 2 * tree.k <= _DENSE_SPECTRUM_MAX:
-        spectra = _dense_spectra(factor.partials)
-        for c, eigs in enumerate(spectra):
-            if offender is None and not (component_definite[c] and _is_positive_definite(eigs)):
-                offender, problem = c, f"has eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-        # H is block diagonal over the components, so its spectrum is their union
-        eigs = np.sort(np.concatenate([np.zeros(0)] + spectra))
-        pd = offender is None and _is_positive_definite(eigs)
-        smallest, largest = (eigs[0], eigs[-1]) if eigs.size else (1.0, 1.0)
-    elif not component_definite.all():
-        offender = int(np.argmin(component_definite))
-        members = forest.components[offender]
-        i = members[int(np.argmin(factor.definite[list(members)]))]
-        pd, problem = False, f"has a block pivot at s{i} that is not positive definite"
-    else:
-        smallest, largest, c = _lanczos_extremes(factor)
-        pd = _is_positive_definite(np.array([smallest, largest]))
-        if not pd:
-            offender, problem = c, f"has smallest eigenvalue {smallest:.3e} against a largest of {largest:.3e}"
+    spectra = [_component_spectrum(factor, np.array(members)) for members in components]
+    offenders = [(members, problem) for members, (_, _, problem) in zip(components, spectra) if problem is not None]
     error = None
-    if offender is not None:
+    if offenders:
+        members, problem = offenders[0]
         error = IllConditionedError(
-            f"ill-conditioned at this configuration: Hessian component {list(forest.components[offender])} {problem}"
+            f"ill-conditioned at this configuration: Hessian component {list(members)} {problem}"
         )
+    # H is block diagonal over the components, so its spectrum is their union
+    smallest = min((lo for lo, _, _ in spectra), default=1.0)
+    largest = max((hi for _, hi, _ in spectra), default=1.0)
+    pd = error is None and _is_positive_definite(smallest, largest)
     health = HealthReport(
         min_edge_length=geo.min_edge_length,
         max_steiner_angle_deviation=geo.max_steiner_angle_deviation,
@@ -323,16 +346,17 @@ def _solve(evaluation: _Evaluation, delta_t: np.ndarray, scale: float) -> np.nda
     per-component residual gate (1 for the identity, which gives X)."""
     if evaluation.error is not None:
         raise evaluation.error
-    factor = evaluation.factor
-    rhs = -factor.partials.mixed_times(delta_t)
-    x = factor.solve(rhs)
-    forest = factor.partials.plan.forest
-    squares = np.square(factor.partials.hessian_times(x) - rhs).sum(axis=(1, 2))
+    partials = evaluation.factor.partials
+    rhs = -partials.mixed_times(delta_t)
+    x = evaluation.factor.solve(rhs)
+    shape = (2 * partials.plan.k, rhs.shape[2])  # explicit, since k may be 0
+    forest = partials.plan.forest
+    squares = np.square((partials.hessian @ x.reshape(shape)).reshape(rhs.shape) - rhs).sum(axis=(1, 2))
     residual = np.sqrt(np.bincount(forest.component, squares, len(forest.components)))
-    failed = np.flatnonzero(residual > _SOLVE_RTOL * factor.partials.hessian_norms() * scale)
+    failed = np.flatnonzero(residual > _SOLVE_RTOL * partials.hessian_norms() * scale)
     if failed.size:
         raise IllConditionedError(f"ill-conditioned at this configuration: solve residual {residual[failed[0]]:.3e}")
-    return x.reshape(2 * evaluation.tree.k, -1)
+    return x.reshape(shape)
 
 
 def _check_topology(tree: SteinerTree) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import bsr_array
@@ -120,9 +121,9 @@ class SecondPartials:
     off: np.ndarray
     mixed: np.ndarray
 
-    def sparse_hessian(self) -> bsr_array:
-        """The Steiner Hessian as a scipy sparse matrix of 2x2 blocks, for
-        callers that multiply by it many times."""
+    @cached_property
+    def hessian(self) -> bsr_array:
+        """The Steiner Hessian as a scipy sparse matrix of 2x2 blocks."""
         plan = self.plan
         ss = plan.steiner_steiner
         m, l, i = plan.tail[ss] - plan.n, plan.head[ss] - plan.n, np.arange(plan.k)
@@ -131,26 +132,6 @@ class SecondPartials:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=plan.k))))
         blocks = np.concatenate((self.diag, self.off, self.off))[order]
         return bsr_array((blocks, cols[order], indptr), shape=(2 * plan.k, 2 * plan.k))
-
-    def hessian_blocks(self) -> BlockMatrix2:
-        """The Steiner Hessian as a :class:`BlockMatrix2`."""
-        plan = self.plan
-        ss = plan.steiner_steiner
-        blocks = {(i, i): b for i, b in enumerate(self.diag)}
-        for m, l, b in zip((plan.tail[ss] - plan.n).tolist(), (plan.head[ss] - plan.n).tolist(), self.off):
-            blocks[(m, l)] = b
-            blocks[(l, m)] = b
-        return BlockMatrix2(plan.k, plan.k, blocks)
-
-    def hessian_times(self, x: np.ndarray) -> np.ndarray:
-        """``H x`` for ``x`` of shape ``(k, 2, c)``, one block product per block."""
-        plan = self.plan
-        ss = plan.steiner_steiner
-        m, l = plan.tail[ss] - plan.n, plan.head[ss] - plan.n
-        y = np.einsum("kab,kbc->kac", self.diag, x)
-        np.add.at(y, m, np.einsum("kab,kbc->kac", self.off, x[l]))
-        np.add.at(y, l, np.einsum("kab,kbc->kac", self.off, x[m]))
-        return y
 
     def hessian_norms(self) -> np.ndarray:
         """Frobenius norm of the Hessian restricted to each Steiner-forest component."""
@@ -191,7 +172,14 @@ def hessian_ss(tree: SteinerTree) -> BlockMatrix2:
     negated projection of their connecting edge. Non-adjacent pairs are
     absent (zero).
     """
-    return second_partials(tree.topology.plan, *nondegenerate_edge_vectors(tree)).hessian_blocks()
+    plan = tree.topology.plan
+    partials = second_partials(plan, *nondegenerate_edge_vectors(tree))
+    ss = plan.steiner_steiner
+    blocks = {(i, i): b for i, b in enumerate(partials.diag)}
+    for m, l, b in zip((plan.tail[ss] - plan.n).tolist(), (plan.head[ss] - plan.n).tolist(), partials.off):
+        blocks[(m, l)] = b
+        blocks[(l, m)] = b
+    return BlockMatrix2(tree.k, tree.k, blocks)
 
 
 def mixed_ts(tree: SteinerTree) -> BlockMatrix2:

@@ -170,6 +170,19 @@ class TestAdaptSingle:
         new_tree, _ = adapt_single(example1_tree, p)
         assert new_tree.topology == example1_tree.topology
 
+    def test_no_steiner_points_shift_the_terminals(self):
+        topo = SteinerTopology(n=2, k=0, edges_T={(0, 1)})
+        tree = SteinerTree.from_arrays(topo, [(0, 0), (1, 0)], np.zeros((0, 2)))
+        p = Perturbation.from_pairs([[0.1, 0.2], [-0.3, 0.0]])
+        for mode in AdaptationMode:
+            new_tree, health = adapt_single(tree, p, mode)
+            assert new_tree.terminal_array().tolist() == [[0.1, 0.2], [0.7, 0.0]]
+            assert health.positive_definite and health.hessian_condition == 1.0
+        report = adapt_stepwise(tree, p, StepPolicy(steps=3))
+        assert report.status is AdaptationStatus.COMPLETED
+        assert [rec.delta_s.size for rec in report.steps] == [0, 0, 0]
+        assert np.allclose(report.final_tree.terminal_array(), [[0.1, 0.2], [0.7, 0.0]], rtol=0, atol=1e-15)
+
     def test_exact_for_uniform_translation(self):
         rng = np.random.default_rng(24)
         tree = optimized_random_tree(rng, 5)
