@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import exact
 from .derivatives import SecondPartials, second_partials
@@ -262,6 +261,9 @@ def _lanczos_extremes(factor: _BlockFactor, members: np.ndarray) -> tuple[float,
     zero off the component. Both runs start from one fixed vector, so that
     equal inputs give equal bits.
     """
+    # imported on first use, like scipy.sparse in SecondPartials.hessian
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     k = factor.partials.plan.k
     rows = (2 * members[:, None] + np.arange(2)).reshape(-1) if members.size < k else slice(None)
     size = 2 * members.size
@@ -349,14 +351,13 @@ def _solve(evaluation: _Evaluation, delta_t: np.ndarray, scale: float) -> np.nda
     partials = evaluation.factor.partials
     rhs = -partials.mixed_times(delta_t)
     x = evaluation.factor.solve(rhs)
-    shape = (2 * partials.plan.k, rhs.shape[2])  # explicit, since k may be 0
     forest = partials.plan.forest
-    squares = np.square((partials.hessian @ x.reshape(shape)).reshape(rhs.shape) - rhs).sum(axis=(1, 2))
+    squares = np.square(partials.hessian_times(x) - rhs).sum(axis=(1, 2))
     residual = np.sqrt(np.bincount(forest.component, squares, len(forest.components)))
     failed = np.flatnonzero(residual > _SOLVE_RTOL * partials.hessian_norms() * scale)
     if failed.size:
         raise IllConditionedError(f"ill-conditioned at this configuration: solve residual {residual[failed[0]]:.3e}")
-    return x.reshape(shape)
+    return x.reshape(2 * partials.plan.k, rhs.shape[2])  # sizes spelled out: k may be 0
 
 
 def _check_topology(tree: SteinerTree) -> None:

@@ -16,7 +16,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import bsr_array
 
 from .errors import DegenerateEdgeError
 from .trees import COINCIDENT_THRESHOLD, EdgePlan, NodeRef, SteinerTree, nondegenerate_edge_vectors
@@ -122,8 +121,19 @@ class SecondPartials:
     mixed: np.ndarray
 
     @cached_property
-    def hessian(self) -> bsr_array:
-        """The Steiner Hessian as a scipy sparse matrix of 2x2 blocks."""
+    def hessian(self):
+        """The Steiner Hessian as a scipy sparse matrix of 2x2 blocks, for
+        callers that multiply by it many times.
+
+        Building it costs about 40 µs even at k <= 4, more than one
+        :meth:`hessian_times` product there (about 35 µs); at k = 398 one
+        product with it takes 12-20 µs against about 100 µs, which pays
+        off over the ~90 products of a Lanczos run. scipy.sparse is
+        imported here, on first use, because its import costs more than
+        50 ms that trees without a Lanczos run never need.
+        """
+        from scipy.sparse import bsr_array
+
         plan = self.plan
         ss = plan.steiner_steiner
         m, l, i = plan.tail[ss] - plan.n, plan.head[ss] - plan.n, np.arange(plan.k)
@@ -132,6 +142,16 @@ class SecondPartials:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=plan.k))))
         blocks = np.concatenate((self.diag, self.off, self.off))[order]
         return bsr_array((blocks, cols[order], indptr), shape=(2 * plan.k, 2 * plan.k))
+
+    def hessian_times(self, x: np.ndarray) -> np.ndarray:
+        """``H x`` for ``x`` of shape ``(k, 2, c)``, one block product per block."""
+        plan = self.plan
+        ss = plan.steiner_steiner
+        m, l = plan.tail[ss] - plan.n, plan.head[ss] - plan.n
+        y = np.einsum("kab,kbc->kac", self.diag, x)
+        np.add.at(y, m, np.einsum("kab,kbc->kac", self.off, x[l]))
+        np.add.at(y, l, np.einsum("kab,kbc->kac", self.off, x[m]))
+        return y
 
     def hessian_norms(self) -> np.ndarray:
         """Frobenius norm of the Hessian restricted to each Steiner-forest component."""
