@@ -98,12 +98,11 @@ def _decode_positions(raw, name: str) -> np.ndarray:
 def _decode_edges(raw, n: int, k: int) -> SteinerTopology:
     if not isinstance(raw, list):
         raise DocumentError("'edges' must be a list of two-element node references")
-    edges_t, edges_ts, edges_s = set(), set(), set()
-    seen = set()
+    pairs = set()
     for idx, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(v, str) for v in item)):
             raise DocumentError(f"'edges[{idx}]' must be a pair of node reference strings")
-        refs = []
+        ends = []
         for ref in item:
             m = _NODE_REF_RE.match(ref)
             if m is None:
@@ -112,21 +111,12 @@ def _decode_edges(raw, n: int, k: int) -> SteinerTopology:
             bound = n if kind == "t" else k
             if index >= bound:
                 raise DocumentError(f"'edges[{idx}]': index out of range: {ref!r}")
-            refs.append((kind, index))
-        key = tuple(sorted(refs))
-        if key in seen:
+            ends.append(index if kind == "t" else n + index)
+        pair = tuple(sorted(ends))
+        if pair in pairs:
             raise DocumentError(f"'edges[{idx}]': repeated edge {item[0]}-{item[1]}")
-        seen.add(key)
-        (ka, ia), (kb, ib) = refs
-        if ka == "t" and kb == "t":
-            edges_t.add((ia, ib))
-        elif ka == "s" and kb == "s":
-            edges_s.add((ia, ib))
-        elif ka == "t":
-            edges_ts.add((ia, ib))
-        else:
-            edges_ts.add((ib, ia))
-    return SteinerTopology(n=n, k=k, edges_T=frozenset(edges_t), edges_TS=frozenset(edges_ts), edges_S=frozenset(edges_s))
+        pairs.add(pair)
+    return SteinerTopology.from_node_pairs(n, k, pairs)
 
 
 def decode_instance(text: str) -> SteinerTree | list[Point2]:

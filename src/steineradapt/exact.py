@@ -18,6 +18,7 @@ tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .trees import (
     COINCIDENT_THRESHOLD,
-    NodeKind,
+    EdgePlan,
     NodeRef,
     Point2,
     SteinerTopology,
@@ -98,33 +99,22 @@ def _points_array(points) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Internal network form: nodes 0..F-1 are fixed, F..F+nfree-1 are free.
-# Every edge vector is an affine function of the free coordinates,
-# u_e = A_e @ s + c_e, which makes reweighted solves and Hessian assembly
-# direct.
+# Internal network form: the Steiner edges' vectors are an affine function of
+# the free coordinates, u = A @ s + c with u_e = position[tail] - position[head]
+# over the plan's ``steiner_edges``. That makes reweighted solves and Hessian
+# assembly direct, and a contraction is a substitution into (A, c).
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Net:
-    fixed: np.ndarray  # (F, 2)
-    nfree: int
-    edges: list[tuple[int, int]]
-
-
-def _incidence(net: _Net) -> tuple[np.ndarray, np.ndarray]:
-    nfix = len(net.fixed)
-    A = np.zeros((len(net.edges), net.nfree))
-    c = np.zeros((len(net.edges), 2))
-    for e, (p, q) in enumerate(net.edges):
-        if p >= nfix:
-            A[e, p - nfix] += 1.0
-        else:
-            c[e] += net.fixed[p]
-        if q >= nfix:
-            A[e, q - nfix] -= 1.0
-        else:
-            c[e] -= net.fixed[q]
+def _network(t: np.ndarray, plan: EdgePlan) -> tuple[np.ndarray, np.ndarray]:
+    tail, head = plan.tail[plan.steiner_edges], plan.head[plan.steiner_edges]
+    rows = np.arange(len(tail))
+    A = np.zeros((len(tail), plan.k))
+    c = np.zeros((len(tail), 2))
+    free = tail >= plan.n
+    A[rows[free], tail[free] - plan.n] += 1.0
+    c[~free] += t[tail[~free]]
+    A[rows, head - plan.n] -= 1.0  # the head of a Steiner edge is a Steiner point
     return A, c
 
 
@@ -187,38 +177,31 @@ def _newton(A, c, s, grad_tol, max_steps):
     return s, gnorm, steps, gnorm < grad_tol
 
 
-def _contract(net: _Net, s: np.ndarray, row: int):
-    """Merge the endpoints of one edge; returns the smaller net and a rebuilder."""
-    nfix = len(net.fixed)
-    a, b = net.edges[row]
-    if b < nfix:
-        a, b = b, a
-    # b is free and merges into a (a may be fixed)
-    removed = b - nfix
-
-    def map_node(x: int) -> int:
-        if x == b:
-            x = a
-        if x >= nfix and x - nfix > removed:
-            return x - 1
-        return x
-
-    edges = [(map_node(p), map_node(q)) for e, (p, q) in enumerate(net.edges) if e != row]
-    child = _Net(fixed=net.fixed, nfree=net.nfree - 1, edges=edges)
-    s_child = np.delete(s, removed, axis=0)
-    if a >= nfix:
-        merged = a - nfix if a - nfix < removed else a - nfix - 1
-        s_child[merged] = 0.5 * (s[removed] + s[a - nfix])
+def _contract(A: np.ndarray, c: np.ndarray, s: np.ndarray, row: int):
+    """Merge the endpoints of one edge; returns the smaller (A, c), its start and a rebuilder."""
+    (ends,) = np.nonzero(A[row])
+    b = int(ends[A[row, ends].argmin()])  # the head when both ends are free
+    # b is free and merges into the other end, which may be fixed
+    A_child, c_child = np.delete(A, row, axis=0), np.delete(c, row, axis=0)
+    s_child = np.delete(s, b, axis=0)
+    if len(ends) == 2:
+        a = int(ends[ends != b][0])
+        A_child[:, a] += A_child[:, b]
+        merged = a if a < b else a - 1
+        s_child[merged] = 0.5 * (s[b] + s[a])
+    else:
+        landing = -A[row, b] * c[row]  # the fixed end's position
+        c_child += A_child[:, [b]] * landing
 
     def rebuild(cs: np.ndarray) -> np.ndarray:
-        full = np.insert(cs, removed, 0.0, axis=0)
-        full[removed] = net.fixed[a] if a < nfix else cs[a - nfix if a - nfix < removed else a - nfix - 1]
+        full = np.insert(cs, b, 0.0, axis=0)
+        full[b] = full[a] if len(ends) == 2 else landing
         return full
 
-    return child, s_child, rebuild
+    return np.delete(A_child, b, axis=1), c_child, s_child, rebuild
 
 
-def _split_improves(net: _Net, s: np.ndarray, row: int) -> bool:
+def _split_improves(A: np.ndarray, c: np.ndarray, s: np.ndarray, row: int) -> bool:
     """Whether pulling apart the merged endpoints of ``row`` would shorten the tree.
 
     At a merged node the objective has a unit subgradient ball per
@@ -226,36 +209,32 @@ def _split_improves(net: _Net, s: np.ndarray, row: int) -> bool:
     endpoint's other edges sum to norm at most one (plus a ball per
     additional coincident edge).
     """
-    nfix = len(net.fixed)
-    pos = np.vstack([net.fixed, s]) if s.size else net.fixed
-    for x in net.edges[row]:
-        if x < nfix:
-            continue
+    u = A @ s + c
+    for x in np.flatnonzero(A[row]):
         r = np.zeros(2)
         slack = 0.0
-        for e, (p, q) in enumerate(net.edges):
-            if e == row or x not in (p, q):
+        for e in np.flatnonzero(A[:, x]):
+            if e == row:
                 continue
-            other = q if x == p else p
-            u = pos[x] - pos[other]
-            d = math.hypot(u[0], u[1])
+            away = A[e, x] * u[e]  # from the other end of edge e towards x
+            d = math.hypot(away[0], away[1])
             if d <= _COLLAPSE_LEN:
                 slack += 1.0
             else:
-                r += u / d
+                r += away / d
         if np.linalg.norm(r) > 1.0 + slack + 1e-9:
             return True
     return False
 
 
-def _minimize(net: _Net, s0: np.ndarray, grad_tol: float, budget: int, scale: float):
+def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, budget: int, scale: float):
     """Returns (positions, optimality residual, iterations used, converged)."""
-    if net.nfree == 0:
+    nfree = A.shape[1]
+    if nfree == 0:
         return np.zeros((0, 2)), 0.0, 0, True
-    A, c = _incidence(net)
     # edges between two fixed nodes are constants and can never be contracted
     contractible = np.abs(A).sum(axis=1) > 0
-    s = np.asarray(s0, dtype=float).reshape(net.nfree, 2).copy()
+    s = np.asarray(s0, dtype=float).reshape(nfree, 2).copy()
     it = 0
     gnorm = math.inf
     rejected: dict[int, float] = {}
@@ -270,12 +249,12 @@ def _minimize(net: _Net, s0: np.ndarray, grad_tol: float, budget: int, scale: fl
         if d[shortest] < _CONTRACT_TRIGGER * scale and (
             shortest not in rejected or d[shortest] < 0.3 * rejected[shortest]
         ):
-            child, s_child, rebuild = _contract(net, s, shortest)
-            cs, cg, used, conv = _minimize(child, s_child, grad_tol, budget - it, scale)
+            A_child, c_child, s_child, rebuild = _contract(A, c, s, shortest)
+            cs, cg, used, conv = _minimize(A_child, c_child, s_child, grad_tol, budget - it, scale)
             it += used
             if conv:
                 composed = rebuild(cs)
-                if not _split_improves(net, composed, shortest):
+                if not _split_improves(A, c, composed, shortest):
                     return composed, cg, it, True
             rejected[shortest] = d[shortest]
             continue
@@ -291,19 +270,9 @@ def _minimize(net: _Net, s0: np.ndarray, grad_tol: float, budget: int, scale: fl
     return s, gnorm, it, False
 
 
-def _steiner_edge_list(topology: SteinerTopology) -> list[tuple[int, int]]:
-    plan = topology.plan
-    return list(zip(plan.tail[plan.steiner_edges].tolist(), plan.head[plan.steiner_edges].tolist()))
-
-
 def _instance_scale(t: np.ndarray) -> float:
     span = t.max(axis=0) - t.min(axis=0)
     return max(float(np.hypot(span[0], span[1])), 1e-9)
-
-
-def _optimize_on(t: np.ndarray, topology: SteinerTopology, s0: np.ndarray, grad_tol: float, budget: int):
-    net = _Net(fixed=t, nfree=topology.k, edges=_steiner_edge_list(topology))
-    return _minimize(net, s0, grad_tol, budget, _instance_scale(t))
 
 
 def optimize_fixed_topology(
@@ -335,7 +304,8 @@ def optimize_fixed_topology(
     if s0.shape[0] != topology.k:
         raise ValueError(f"expected {topology.k} initial steiner positions, got {s0.shape[0]}")
 
-    s, gnorm, iters, converged = _optimize_on(t, topology, s0, grad_tol, max_iterations)
+    A, c = _network(t, topology.plan)
+    s, gnorm, iters, converged = _minimize(A, c, s0, grad_tol, max_iterations, _instance_scale(t))
     tree = SteinerTree.from_arrays(topology, t, s)
     lengths = edge_vectors(tree)[1]
     steiner_edges = topology.plan.steiner_edges
@@ -360,38 +330,28 @@ def enumerate_full_topologies(n: int) -> list[SteinerTopology]:
 
     Built incrementally: each new terminal subdivides one existing edge
     with a fresh Steiner point. That yields each full topology exactly
-    once up to Steiner relabeling, with counts 1, 3, 15, 105.
+    once up to Steiner relabeling, with counts 1, 3, 15, 105. Built once
+    per ``n``; every call returns a new list of the same topologies.
     """
     if not 3 <= n <= 6:
         raise ValueError(f"terminal count must be between 3 and 6, got {n}")
-    t = NodeKind.TERMINAL
-    s = NodeKind.STEINER
-    states: list[list[tuple[tuple[NodeKind, int], tuple[NodeKind, int]]]] = [
-        [((t, 0), (s, 0)), ((t, 1), (s, 0)), ((t, 2), (s, 0))]
-    ]
+    return list(_full_topologies(n))
+
+
+@functools.cache
+def _full_topologies(n: int) -> tuple[SteinerTopology, ...]:
+    # edges as node pairs in the plan's stacked ids: terminal j is j, Steiner point i is n + i
+    states = [[(0, n), (1, n), (2, n)]]
     for term in range(3, n):
-        fresh = (s, term - 2)
+        fresh = n + term - 2
         grown = []
         for edges in states:
             for pos in range(len(edges)):
                 a, b = edges[pos]
                 rest = edges[:pos] + edges[pos + 1 :]
-                grown.append(rest + [(a, fresh), (fresh, b), ((t, term), fresh)])
+                grown.append(rest + [(a, fresh), (fresh, b), (term, fresh)])
         states = grown
-
-    out = []
-    for edges in states:
-        edges_ts = []
-        edges_ss = []
-        for a, b in edges:
-            if a[0] is t:
-                edges_ts.append((a[1], b[1]))
-            elif b[0] is t:
-                edges_ts.append((b[1], a[1]))
-            else:
-                edges_ss.append((a[1], b[1]))
-        out.append(full_topology(n=n, k=n - 2, edges_TS=edges_ts, edges_S=edges_ss))
-    return out
+    return tuple(SteinerTopology.from_node_pairs(n, n - 2, edges) for edges in states)
 
 
 def canonical_encoding(topology: SteinerTopology) -> str:
@@ -432,14 +392,12 @@ def compare_topologies(a: SteinerTopology, b: SteinerTopology) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _seed_positions(t: np.ndarray, topology: SteinerTopology, salt: int) -> np.ndarray:
+def _seed_positions(A: np.ndarray, c: np.ndarray, scale: float, salt: int) -> np.ndarray:
     """Deterministic start: each Steiner point at the (unit-weight) average of
     its neighbors, plus a small seeded jitter to break symmetric degeneracies."""
-    net = _Net(fixed=t, nfree=topology.k, edges=_steiner_edge_list(topology))
-    A, c = _incidence(net)
     base = np.linalg.solve(A.T @ A, -(A.T @ c))
     rng = np.random.default_rng(0x5EED + salt)
-    return base + rng.normal(scale=1e-3 * _instance_scale(t), size=base.shape)
+    return base + rng.normal(scale=1e-3 * scale, size=base.shape)
 
 
 def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree | None:
@@ -477,31 +435,11 @@ def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree |
             return None  # two terminals forced coincident
 
     new_steiner_reps = sorted(rep for rep in clusters if rep >= n)
-    steiner_renum = {rep: idx for idx, rep in enumerate(new_steiner_reps)}
-
-    edges_t: set[tuple[int, int]] = set()
-    edges_ts: set[tuple[int, int]] = set()
-    edges_s: set[tuple[int, int]] = set()
-    for p, q in ends:
-        rp, rq = find(p), find(q)
-        if rp == rq:
-            continue
-        if rp < n and rq < n:
-            edges_t.add((rp, rq))
-        elif rp < n:
-            edges_ts.add((rp, steiner_renum[rq]))
-        elif rq < n:
-            edges_ts.add((rq, steiner_renum[rp]))
-        else:
-            edges_s.add((steiner_renum[rp], steiner_renum[rq]))
-
-    reduced = SteinerTopology(
-        n=n,
-        k=len(new_steiner_reps),
-        edges_T=frozenset(edges_t),
-        edges_TS=frozenset(edges_ts),
-        edges_S=frozenset(edges_s),
-    )
+    # each node's id in the reduced topology: terminals keep theirs, Steiner representatives are renumbered
+    renum = {rep: n + i for i, rep in enumerate(new_steiner_reps)}
+    reduced_id = [renum.get(find(x), find(x)) for x in range(total)]
+    pairs = {(reduced_id[p], reduced_id[q]) for p, q in ends if reduced_id[p] != reduced_id[q]}
+    reduced = SteinerTopology.from_node_pairs(n, len(new_steiner_reps), pairs)
     if not validate_topology(reduced).ok:
         return None
     s_new = tree.steiner_positions[[rep - n for rep in new_steiner_reps]]
@@ -533,10 +471,12 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
         tree = SteinerTree.from_arrays(topo, t, np.zeros((0, 2)))
         return ExactSolveResult(tree=tree, length=tree_length(tree), ties=(tree,))
 
+    scale = _instance_scale(t)
     candidates: list[tuple[float, SteinerTree]] = []
     for salt, topo in enumerate(enumerate_full_topologies(n)):
-        s0 = _seed_positions(t, topo, salt)
-        s, gnorm, _, converged = _optimize_on(t, topo, s0, grad_tol, max_iterations)
+        A, c = _network(t, topo.plan)
+        s0 = _seed_positions(A, c, scale, salt)
+        s, gnorm, _, converged = _minimize(A, c, s0, grad_tol, max_iterations, scale)
         if not converged:
             continue
         full_tree = SteinerTree.from_arrays(topo, t, s)

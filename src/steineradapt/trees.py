@@ -249,10 +249,30 @@ class SteinerTopology:
         object.__setattr__(self, "edges_TS", frozenset((int(a), int(b)) for a, b in self.edges_TS))
         object.__setattr__(self, "edges_S", frozenset(_normalized_pair(e) for e in self.edges_S))
 
+    @staticmethod
+    def from_node_pairs(n: int, k: int, pairs) -> "SteinerTopology":
+        """A topology from edges given as node pairs in the plan's stacked ids:
+        terminal ``j`` is ``j`` and Steiner point ``i`` is ``n + i``."""
+        tt, ts, ss = set(), set(), set()
+        for pair in pairs:
+            a, b = _normalized_pair(pair)
+            if b < n:
+                tt.add((a, b))
+            elif a < n:
+                ts.add((a, b - n))
+            else:
+                ss.add((a - n, b - n))
+        return SteinerTopology(n, k, tt, ts, ss)
+
     @cached_property
     def plan(self) -> EdgePlan:
         """The edges in index form, built on first use and kept for the topology's lifetime."""
         return _build_plan(self)
+
+    @cached_property
+    def validation(self) -> TopologyValidation:
+        """:func:`validate_topology`'s result, computed on first use and kept like :attr:`plan`."""
+        return _validate(self)
 
     @property
     def edge_count(self) -> int:
@@ -387,8 +407,13 @@ def validate_topology(topology: SteinerTopology) -> TopologyValidation:
     """Check every structural rule; violations are data, not exceptions.
 
     Each violation message names the failed rule and the offending node or
-    edge, so callers can surface them directly.
+    edge, so callers can surface them directly. The result depends only on
+    the topology, which keeps it after the first check.
     """
+    return topology.validation
+
+
+def _validate(topology: SteinerTopology) -> TopologyValidation:
     v: list[str] = []
     n, k = topology.n, topology.k
 

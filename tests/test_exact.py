@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from steineradapt import (
+    NodeRef,
     SteinerTopology,
     canonical_encoding,
     check_geometric_conditions,
@@ -17,6 +18,7 @@ from steineradapt import (
     tree_length,
     validate_topology,
 )
+from steineradapt import exact
 from conftest import EXAMPLE1_TERMINALS
 
 
@@ -194,3 +196,69 @@ class TestSolveExact:
         b = solve_exact(pts)
         assert a.length == b.length
         assert a.tree == b.tree
+
+
+class TestNetworkContraction:
+    def test_crossing_square_merges_both_steiner_points(self):
+        # each Steiner point joins two opposite corners, so the optimum merges
+        # the two free points at the centre: the contraction with two free ends
+        crossing = SteinerTopology(n=4, k=2, edges_TS={(0, 0), (2, 0), (1, 1), (3, 1)}, edges_S={(0, 1)})
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        result = optimize_fixed_topology(square, crossing, [(0.3, 0.4), (0.7, 0.6)])
+        s0, s1 = NodeRef.steiner(0), NodeRef.steiner(1)
+        assert result.converged
+        assert result.collapsed_edges == {(s0, s1)}
+        assert np.abs(result.tree.steiner_array() - 0.5).max() < 1e-12
+
+
+class TestEnumerationCache:
+    def test_mutating_a_returned_list_leaves_the_next_call_alone(self):
+        first = enumerate_full_topologies(5)
+        expected = list(first)
+        first.clear()
+        again = enumerate_full_topologies(5)
+        assert again == expected and again is not first
+        again.append(again.pop(0))
+        assert enumerate_full_topologies(5) == expected
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_out_of_range_still_raises_after_a_cached_call(self, n):
+        enumerate_full_topologies(6)
+        with pytest.raises(ValueError):
+            enumerate_full_topologies(n)
+
+
+def loop_network(t: np.ndarray, k: int, edges: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Reference (A, c) with u_e = position[p] - position[q] for stacked ids (p, q), terminals fixed."""
+    n = len(t)
+    A, c = np.zeros((len(edges), k)), np.zeros((len(edges), 2))
+    for e, (p, q) in enumerate(edges):
+        for node, sign in ((p, 1.0), (q, -1.0)):
+            if node >= n:
+                A[e, node - n] += sign
+            else:
+                c[e] += sign * t[node]
+    return A, c
+
+
+class TestAffineNetwork:
+    @pytest.mark.parametrize("which", [0, 37, 104])
+    def test_network_and_each_contraction_match_the_loop_reference(self, which):
+        rng = np.random.default_rng(which)
+        t = rng.uniform(0.0, 1.0, (6, 2))
+        plan = enumerate_full_topologies(6)[which].plan
+        edges = list(zip(plan.tail[plan.steiner_edges].tolist(), plan.head[plan.steiner_edges].tolist()))
+        A, c = exact._network(t, plan)
+        expected_A, expected_c = loop_network(t, 4, edges)
+        assert np.array_equal(A, expected_A) and np.array_equal(c, expected_c)
+        s = rng.uniform(0.0, 1.0, (4, 2))
+        for row, (p, q) in enumerate(edges):
+            keep, gone = (p, q) if q >= 6 else (q, p)  # a free head merges into the tail
+            merged = [(keep if x == gone else x, keep if y == gone else y) for x, y in edges]
+            shifted = [tuple(x - 1 if x > gone else x for x in pair) for pair in merged]
+            A_child, c_child, s_child, rebuild = exact._contract(A, c, s, row)
+            expected_A, expected_c = loop_network(t, 3, shifted[:row] + shifted[row + 1 :])
+            assert np.array_equal(A_child, expected_A) and np.array_equal(c_child, expected_c)
+            full = rebuild(s_child)
+            landing = t[keep] if keep < 6 else full[keep - 6]
+            assert np.array_equal(full[gone - 6], landing)

@@ -299,3 +299,32 @@ class TestTreeLength:
         s_new[sperm] = tree.steiner_array()
         permuted = SteinerTree.from_arrays(relabeled, t_new, s_new)
         assert tree_length(permuted) == pytest.approx(tree_length(tree), rel=1e-14)
+
+
+class TestFromNodePairs:
+    def test_splits_stacked_ids_by_kind(self):
+        # n = 4: terminals 0..3, Steiner points 4 and 5
+        topo = SteinerTopology.from_node_pairs(4, 2, [(4, 0), (1, 4), (5, 4), (2, 5), (5, 3)])
+        assert topo == SteinerTopology(n=4, k=2, edges_TS={(0, 0), (1, 0), (2, 1), (3, 1)}, edges_S={(0, 1)})
+        assert SteinerTopology.from_node_pairs(3, 0, [(1, 0), (1, 2)]).edges_T == {(0, 1), (1, 2)}
+
+    def test_pairs_come_back_from_the_plan(self):
+        topo = BRIDGED_TOPOLOGY
+        pairs = zip(topo.plan.tail.tolist(), topo.plan.head.tolist())
+        assert SteinerTopology.from_node_pairs(topo.n, topo.k, pairs) == topo
+
+    def test_out_of_range_ids_are_kept_for_validation(self):
+        topo = SteinerTopology.from_node_pairs(3, 1, [(0, 3), (1, 3), (2, 5)])
+        assert not validate_topology(topo).ok
+
+
+class TestValidationCache:
+    def test_result_is_kept_on_the_topology(self):
+        topo = star3()
+        first = validate_topology(topo)
+        assert first.ok and validate_topology(topo) is first is topo.validation
+
+    def test_equal_topologies_agree(self):
+        bad = SteinerTopology(n=3, k=1, edges_TS={(0, 0), (1, 0)})
+        assert validate_topology(bad) == validate_topology(SteinerTopology(n=3, k=1, edges_TS={(1, 0), (0, 0)}))
+        assert not bad.validation.ok

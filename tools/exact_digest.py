@@ -1,0 +1,96 @@
+"""Fingerprint the exact solver's output, bit for bit.
+
+Usage (from the root of any checkout):
+
+    python3 tools/exact_digest.py
+
+The script imports the ``src/`` next to it and prints one SHA-256 digest per
+corpus over every byte of every result. Two checkouts whose solvers agree
+bitwise print the same digests; a single differing bit changes them.
+
+- ``solve_exact``: criterion 6's 1000 instances (``default_rng(7003)``, 400,
+  300, 200 and 100 uniform instances at n = 3, 4, 5, 6), then the unit
+  square, the regular pentagon and hexagon (co-optimal ties) and a nearly
+  collinear triangle. Hashed: the length, and every tie's edge sets and
+  Steiner-position bytes.
+- ``optimize_fixed_topology``: 60 runs on uniform instances with a random
+  full topology and a random start, then the crossing topology on the unit
+  square, whose optimum merges two free Steiner points. Hashed: the
+  positions, ``gradient_norm``, ``iterations``, ``collapsed_edges`` and
+  ``converged``.
+"""
+
+import hashlib
+import math
+import os
+import struct
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from steineradapt import SteinerTopology, enumerate_full_topologies, optimize_fixed_topology, solve_exact  # noqa: E402
+
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+
+def regular_polygon(n: int) -> list[tuple[float, float]]:
+    return [(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n)) for i in range(n)]
+
+
+def solve_instances() -> list:
+    rng = np.random.default_rng(7003)
+    instances = [rng.uniform(0.0, 1.0, (n, 2)) for n, count in ((3, 400), (4, 300), (5, 200), (6, 100)) for _ in range(count)]
+    return instances + [SQUARE, regular_polygon(5), regular_polygon(6), [(0.0, 0.0), (2.0, 0.0), (1.0, 0.05)]]
+
+
+def optimize_runs() -> list:
+    rng = np.random.default_rng(9001)
+    runs = []
+    for _ in range(60):
+        n = int(rng.integers(3, 7))
+        topologies = enumerate_full_topologies(n)
+        topology = topologies[int(rng.integers(len(topologies)))]
+        runs.append((rng.uniform(0.0, 1.0, (n, 2)), topology, rng.uniform(-0.5, 1.5, (n - 2, 2))))
+    crossing = SteinerTopology(n=4, k=2, edges_TS={(0, 0), (2, 0), (1, 1), (3, 1)}, edges_S={(0, 1)})
+    return runs + [(SQUARE, crossing, [(0.3, 0.4), (0.7, 0.6)])]
+
+
+def edge_bytes(topology: SteinerTopology) -> bytes:
+    return repr((sorted(topology.edges_T), sorted(topology.edges_TS), sorted(topology.edges_S))).encode()
+
+
+def solve_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    instances = solve_instances()
+    for terminals in instances:
+        result = solve_exact(terminals)
+        digest.update(struct.pack("<d", result.length))
+        for tie in result.ties:
+            digest.update(edge_bytes(tie.topology))
+            digest.update(tie.steiner_positions.tobytes())
+    return len(instances), digest.hexdigest()
+
+
+def optimize_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    runs = optimize_runs()
+    for terminals, topology, start in runs:
+        result = optimize_fixed_topology(terminals, topology, start)
+        digest.update(result.tree.steiner_positions.tobytes())
+        digest.update(struct.pack("<dq?", result.gradient_norm, result.iterations, result.converged))
+        digest.update(repr(sorted((str(a), str(b)) for a, b in result.collapsed_edges)).encode())
+    return len(runs), digest.hexdigest()
+
+
+def main() -> None:
+    for name, compute in (("solve_exact", solve_digest), ("optimize_fixed_topology", optimize_digest)):
+        count, hexdigest = compute()
+        print(f"{name:<24} {count:>5} results  sha256 {hexdigest}")
+
+
+if __name__ == "__main__":
+    main()
