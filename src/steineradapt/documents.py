@@ -22,7 +22,7 @@ from .trees import Point2, SteinerTopology, SteinerTree, validate_topology
 
 FORMAT_VERSION = 1
 
-_NODE_REF_RE = re.compile(r"^([ts])(0|[1-9][0-9]*)$")
+_NODE_REF_RE = re.compile(r"([ts])(0|[1-9][0-9]*)")
 _INSTANCE_KEYS = {"format_version", "terminals", "steiner", "edges"}
 _PERTURBATION_KEYS = {"format_version", "delta_t"}
 _REPORT_KEYS = {"format_version", "status", "initial", "steps", "final_tree"}
@@ -104,7 +104,7 @@ def _decode_edges(raw, n: int, k: int) -> SteinerTopology:
             raise DocumentError(f"'edges[{idx}]' must be a pair of node reference strings")
         ends = []
         for ref in item:
-            m = _NODE_REF_RE.match(ref)
+            m = _NODE_REF_RE.fullmatch(ref)
             if m is None:
                 raise DocumentError(f"'edges[{idx}]': malformed node reference {ref!r}")
             kind, index = m.group(1), int(m.group(2))

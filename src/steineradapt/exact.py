@@ -1,9 +1,9 @@
 """Ground-truth machinery for small instances.
 
 Two services live here: minimizing the tree length over Steiner positions
-for a fixed topology, and exhaustively solving small instances by trying
-every full topology. Both are used to verify the first-order adaptation
-and to detect topology changes under large perturbations.
+for a fixed topology, and solving small instances exactly by a branch and
+bound over the full topologies. Both are used to verify the first-order
+adaptation and to detect topology changes under large perturbations.
 
 The fixed-topology objective is convex in the Steiner positions, so any
 descent method that reaches the gradient tolerance certifies the optimum.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,11 +72,23 @@ class ExactSolveResult:
     ``ties`` holds all optima within the tie tolerance ordered by their
     canonical topology encoding; ``tree`` is ``ties[0]``. A single-element
     ``ties`` means the optimum is unique.
+
+    The search counts its work: ``minimized`` full topologies were
+    optimized, ``bounded`` partial topologies were optimized for a lower
+    bound, ``pruned`` full topologies were skipped because a bound ruled
+    them out, and ``unconverged`` of the minimized ones were dropped
+    because their optimization did not converge. For n >= 3,
+    ``minimized + pruned`` is the number of full topologies, (2n - 5)!!;
+    for n = 2 all four are 0.
     """
 
     tree: SteinerTree
     length: float
     ties: tuple[SteinerTree, ...]
+    minimized: int = 0
+    bounded: int = 0
+    pruned: int = 0
+    unconverged: int = 0
 
 
 def full_topology(n: int, k: int, edges_T=frozenset(), edges_TS=frozenset(), edges_S=frozenset()) -> SteinerTopology:
@@ -388,7 +400,7 @@ def compare_topologies(a: SteinerTopology, b: SteinerTopology) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive solving
+# Solving one full topology
 # ---------------------------------------------------------------------------
 
 
@@ -433,6 +445,14 @@ def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree |
     for members in clusters.values():
         if sum(1 for m in members if m < n) > 1:
             return None  # two terminals forced coincident
+    # contracting edges of a tree leaves a tree, so only the merged degrees can be wrong
+    degree = dict.fromkeys(clusters, 0)
+    for p, q in ends:
+        if find(p) != find(q):
+            degree[find(p)] += 1
+            degree[find(q)] += 1
+    if any(d != 3 if rep >= n else d > 3 for rep, d in degree.items()):
+        return None
 
     new_steiner_reps = sorted(rep for rep in clusters if rep >= n)
     # each node's id in the reduced topology: terminals keep theirs, Steiner representatives are renumbered
@@ -446,13 +466,145 @@ def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree |
     return SteinerTree.from_arrays(reduced, tree.terminal_positions, s_new)
 
 
+# ---------------------------------------------------------------------------
+# Branch and bound over terminal insertions (W. D. Smith, "How to find Steiner
+# minimal trees in Euclidean d-space", Algorithmica 7, 1992)
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _full_topology_index(n: int) -> dict[str, int]:
+    """Each full topology's position in ``_full_topologies(n)``, by canonical encoding."""
+    return {canonical_encoding(topo): i for i, topo in enumerate(_full_topologies(n))}
+
+
+def _insertion_order(d: np.ndarray) -> list[int]:
+    """Farthest-first: the farthest-apart pair, then each time the terminal
+    farthest from those inserted; ties go to the lower index."""
+    a, b = np.unravel_index(int(np.argmax(d)), d.shape)
+    order = [int(a), int(b)]
+    gap = np.minimum(d[a], d[b])
+    while len(order) < len(d):
+        gap[order] = -1.0
+        order.append(int(np.argmax(gap)))
+        gap = np.minimum(gap, d[order[-1]])
+    return order
+
+
+def _mst_length(d: np.ndarray) -> float:
+    """Prim's algorithm on the dense distance matrix."""
+    reach = d[0].copy()
+    reach[0] = math.inf
+    joined = [0]
+    total = 0.0
+    for _ in range(len(d) - 1):
+        reach[joined] = math.inf
+        j = int(np.argmin(reach))
+        total += float(reach[j])
+        joined.append(j)
+        reach = np.minimum(reach, d[j])
+    return total
+
+
+@dataclass
+class _Search:
+    """State of one branch-and-bound solve.
+
+    Nodes of the search are edge lists in the enumeration's ids: the
+    terminal inserted ``j``-th is ``j`` and the Steiner point added with it
+    is ``n + j - 2``, so the Steiner point's index is its column in the
+    network and its row in the positions.
+    """
+
+    t: np.ndarray
+    order: list[int]
+    scale: float
+    grad_tol: float
+    max_iterations: int
+    incumbent: float
+    candidates: list[tuple[int, float, SteinerTree]] = field(default_factory=list)
+    minimized: int = 0
+    bounded: int = 0
+    pruned: int = 0
+    unconverged: int = 0
+
+    def visit(self, edges: list[tuple[int, int]], s: np.ndarray) -> None:
+        n = len(self.t)
+        m = len(edges) // 2 + 2  # terminals inserted
+        if m == n:
+            self.leaf(edges)
+            return
+        fresh = n + m - 2
+        children = []
+        for pos, (a, b) in enumerate(edges):
+            grown = edges[:pos] + edges[pos + 1 :] + [(a, fresh), (fresh, b), (m, fresh)]
+            if m + 1 == n:
+                self.leaf(grown)
+                continue
+            ends = [self.t[self.order[x]] if x < n else s[x - n] for x in (a, b, m)]
+            start = np.vstack((s, sum(ends) / 3.0))
+            bound, s_child, converged = self.bound(grown, start)
+            children.append((bound, pos, s_child, converged, grown))
+        children.sort(key=lambda child: child[:2])
+        # A full topology's optimum is at least its ancestors' bounds: deleting a
+        # leaf terminal and suppressing its Steiner point never lengthens a tree.
+        # A candidate's reduced length leaves out its collapsed edges, at most
+        # 2n - 3 of at most _COLLAPSE_LEN each, and the incumbent never falls
+        # below the final best. So every topology whose candidate lands within
+        # best + tie_tol has all its bounds at or below this cut and is reached;
+        # ``ties`` stays complete and the winner is the exhaustive solve's.
+        for bound, _, s_child, converged, grown in children:
+            cut = self.incumbent + 1e-9 * max(1.0, self.incumbent) + (2 * n - 3) * _COLLAPSE_LEN
+            if converged and bound > cut:
+                self.pruned += math.prod(2 * j - 3 for j in range(m + 1, n))
+            else:
+                self.visit(grown, s_child)
+
+    def bound(self, edges: list[tuple[int, int]], start: np.ndarray) -> tuple[float, np.ndarray, bool]:
+        """Optimal length of a partial topology on its own terminals, warm-started."""
+        n, m = len(self.t), len(start) + 2
+        local = [(x if x < n else x - n + m, y if y < n else y - n + m) for x, y in edges]
+        A, c = _network(self.t[self.order[:m]], SteinerTopology.from_node_pairs(m, m - 2, local).plan)
+        s, _, _, converged = _minimize(A, c, start, self.grad_tol, self.max_iterations, self.scale)
+        self.bounded += 1
+        u = A @ s + c
+        return float(np.hypot(u[:, 0], u[:, 1]).sum()), s, converged
+
+    def leaf(self, edges: list[tuple[int, int]]) -> None:
+        """Minimize a full topology from the cold start of its enumeration index
+        ``i`` and merge its node coincidences; the same work for every search order."""
+        n = len(self.t)
+        labelled = [(self.order[x] if x < n else x, self.order[y] if y < n else y) for x, y in edges]
+        i = _full_topology_index(n)[canonical_encoding(SteinerTopology.from_node_pairs(n, n - 2, labelled))]
+        topo = _full_topologies(n)[i]
+        A, c = _network(self.t, topo.plan)
+        s0 = _seed_positions(A, c, self.scale, i)
+        s, _, _, converged = _minimize(A, c, s0, self.grad_tol, self.max_iterations, self.scale)
+        self.minimized += 1
+        if not converged:
+            self.unconverged += 1
+            return
+        tree = SteinerTree.from_arrays(topo, self.t, s)
+        lengths = edge_vectors(tree)[1]
+        if lengths.min() <= _COLLAPSE_LEN:
+            tree = _contract_collapsed(tree, lengths)
+            if tree is None:
+                return
+        length = tree_length(tree)
+        self.candidates.append((i, length, tree))
+        self.incumbent = min(self.incumbent, length)
+
+
 def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000) -> ExactSolveResult:
     """Shortest interconnecting tree over 2 to 6 pairwise-distinct terminals.
 
-    Optimizes every full topology, merges any node coincidences at the
-    per-topology optima into valid reduced trees, and returns the shortest.
-    Co-optimal trees (within a 1e-9 relative tie tolerance) are all
-    reported, ordered by canonical topology encoding.
+    Searches the full topologies by branch and bound over terminal
+    insertions, optimizes every full topology the bounds cannot rule out,
+    merges any node coincidences at the per-topology optima into valid
+    reduced trees, and returns the shortest. Co-optimal trees (within a
+    1e-9 relative tie tolerance) are all reported, ordered by canonical
+    topology encoding. The result equals, bit for bit, that of optimizing
+    every full topology.
 
     Raises:
         ValueError: terminal count out of range or coincident terminals.
@@ -471,26 +623,15 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
         tree = SteinerTree.from_arrays(topo, t, np.zeros((0, 2)))
         return ExactSolveResult(tree=tree, length=tree_length(tree), ties=(tree,))
 
-    scale = _instance_scale(t)
-    candidates: list[tuple[float, SteinerTree]] = []
-    for salt, topo in enumerate(enumerate_full_topologies(n)):
-        A, c = _network(t, topo.plan)
-        s0 = _seed_positions(A, c, scale, salt)
-        s, gnorm, _, converged = _minimize(A, c, s0, grad_tol, max_iterations, scale)
-        if not converged:
-            continue
-        full_tree = SteinerTree.from_arrays(topo, t, s)
-        lengths = edge_vectors(full_tree)[1]
-        if lengths.min() <= _COLLAPSE_LEN:
-            reduced = _contract_collapsed(full_tree, lengths)
-            if reduced is None:
-                continue
-            candidates.append((tree_length(reduced), reduced))
-        else:
-            candidates.append((tree_length(full_tree), full_tree))
+    d = np.hypot(*np.moveaxis(t[:, None, :] - t[None, :, :], -1, 0))
+    order = _insertion_order(d)
+    search = _Search(t, order, _instance_scale(t), grad_tol, max_iterations, incumbent=_mst_length(d))
+    # the three-terminal root is never pruned, so it is never minimized
+    search.visit([(0, n), (1, n), (2, n)], t[order[:3]].mean(axis=0, keepdims=True))
 
-    if not candidates:
+    if not search.candidates:
         raise RuntimeError("no topology produced a valid optimum")
+    candidates = [(length, tr) for _, length, tr in sorted(search.candidates, key=lambda item: item[0])]
     best = min(length for length, _ in candidates)
     tie_tol = 1e-9 * max(1.0, best)
     pool = [(canonical_encoding(tr.topology), length, tr) for length, tr in candidates if length <= best + tie_tol]
@@ -504,4 +645,12 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
     report = check_geometric_conditions(winner, angle_tol=1e-6)
     if not (validate_topology(winner.topology).ok and report.satisfies_angle_condition):
         raise RuntimeError("exact solve produced a tree failing its own validity checks")
-    return ExactSolveResult(tree=winner, length=deduped[0][1], ties=tuple(tr for _, _, tr in deduped))
+    return ExactSolveResult(
+        tree=winner,
+        length=deduped[0][1],
+        ties=tuple(tr for _, _, tr in deduped),
+        minimized=search.minimized,
+        bounded=search.bounded,
+        pruned=search.pruned,
+        unconverged=search.unconverged,
+    )

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from steineradapt import (
+    ExactSolveResult,
     NodeKind,
     NodeRef,
     SteinerTopology,
     SteinerTree,
+    canonical_encoding,
     cost,
     enumerate_full_topologies,
     gradient_s,
@@ -18,7 +20,10 @@ from steineradapt import (
     mixed_ts,
     optimize_fixed_topology,
     steiner_forest_components,
+    tree_length,
 )
+from steineradapt import exact
+from steineradapt.trees import edge_vectors
 
 # Finite-difference convention used by every derivative check: central
 # differences with this step, relative error against max(1, |analytic|).
@@ -231,6 +236,52 @@ def random_valid_tree(rng: np.random.Generator, n: int, min_edge: float = 0.05) 
         tree = SteinerTree.from_arrays(topo, t, s)
         if min_edge_length(tree) > min_edge:
             return tree
+
+
+def exhaustive_solve(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000) -> ExactSolveResult:
+    """``solve_exact`` by minimizing every full topology, 3 <= n <= 6.
+
+    Each topology is minimized from its seeded cold start, with its
+    enumeration index as the seed's salt, and node coincidences are merged;
+    the shortest candidate wins and every candidate within the 1e-9
+    relative tie tolerance is a tie, one per canonical encoding. The
+    branch-and-bound solve must return the same result bit for bit.
+    """
+    t = np.asarray(terminals, dtype=float)
+    n = len(t)
+    scale = exact._instance_scale(t)
+    candidates: list[tuple[float, SteinerTree]] = []
+    unconverged = 0
+    for salt, topo in enumerate(enumerate_full_topologies(n)):
+        A, c = exact._network(t, topo.plan)
+        s0 = exact._seed_positions(A, c, scale, salt)
+        s, _, _, converged = exact._minimize(A, c, s0, grad_tol, max_iterations, scale)
+        if not converged:
+            unconverged += 1
+            continue
+        full_tree = SteinerTree.from_arrays(topo, t, s)
+        lengths = edge_vectors(full_tree)[1]
+        if lengths.min() <= exact._COLLAPSE_LEN:
+            reduced = exact._contract_collapsed(full_tree, lengths)
+            if reduced is not None:
+                candidates.append((tree_length(reduced), reduced))
+        else:
+            candidates.append((tree_length(full_tree), full_tree))
+
+    best = min(length for length, _ in candidates)
+    tie_tol = 1e-9 * max(1.0, best)
+    pool = sorted(
+        ((canonical_encoding(tr.topology), length, tr) for length, tr in candidates if length <= best + tie_tol),
+        key=lambda item: (item[0], item[1]),
+    )
+    deduped = [item for i, item in enumerate(pool) if i == 0 or pool[i - 1][0] != item[0]]
+    return ExactSolveResult(
+        tree=deduped[0][2],
+        length=deduped[0][1],
+        ties=tuple(tr for _, _, tr in deduped),
+        minimized=len(enumerate_full_topologies(n)),
+        unconverged=unconverged,
+    )
 
 
 EXAMPLE1_TERMINALS = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]

@@ -99,6 +99,11 @@ class TestAdaptCommand:
                                         "edges": [["t0", "t1"], ["t1", "t0"]]}))
         assert run_cli(["check", "--instance", str(instance)]) == 1
 
+    def test_trailing_newline_in_node_reference_exits_1(self, tmp_path):
+        instance = tmp_path / "newline.json"
+        instance.write_text(json.dumps(dict(EXAMPLE1, edges=[["t0\n", "s0"], ["t1", "s0"], ["t2", "s0"]])))
+        assert run_cli(["check", "--instance", str(instance)]) == 1
+
     def test_mismatched_delta_exits_1(self, tmp_path, example1_file):
         delta = write_delta(tmp_path, [[0.1, 0]])
         rc = run_cli(["adapt", "--instance", example1_file, "--delta", delta, "--steps", "1",

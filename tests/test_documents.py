@@ -81,6 +81,12 @@ class TestDecodeInstance:
         with pytest.raises(DocumentError, match="malformed node reference"):
             decode_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("ref", ["t2\n", "t2 ", "\nt2", "t02"])
+    def test_reference_with_extra_characters_rejected(self, ref):
+        doc = dict(EXAMPLE_DOC, edges=[["t0", "s0"], ["t1", "s0"], [ref, "s0"]])
+        with pytest.raises(DocumentError, match="malformed node reference"):
+            decode_instance(json.dumps(doc))
+
     def test_invalid_tree_rejected_with_rule(self):
         doc = dict(EXAMPLE_DOC, edges=[["t0", "s0"], ["t1", "s0"]])
         with pytest.raises(DocumentError, match="steiner-degree"):

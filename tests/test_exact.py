@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steineradapt import (
     NodeRef,
@@ -19,7 +21,7 @@ from steineradapt import (
     validate_topology,
 )
 from steineradapt import exact
-from conftest import EXAMPLE1_TERMINALS
+from conftest import EXAMPLE1_TERMINALS, exhaustive_solve
 
 
 def star3():
@@ -262,3 +264,176 @@ class TestAffineNetwork:
             full = rebuild(s_child)
             landing = t[keep] if keep < 6 else full[keep - 6]
             assert np.array_equal(full[gone - 6], landing)
+
+
+def regular_polygon(n: int) -> list[tuple[float, float]]:
+    return [(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n)) for i in range(n)]
+
+
+def assert_bitwise_equal(result, oracle) -> None:
+    assert struct_bytes(result.length) == struct_bytes(oracle.length)
+    assert len(result.ties) == len(oracle.ties)
+    for tie, expected in zip(result.ties, oracle.ties):
+        assert tie.topology == expected.topology
+        assert tie.steiner_positions.tobytes() == expected.steiner_positions.tobytes()
+        assert tie.terminal_positions.tobytes() == expected.terminal_positions.tobytes()
+
+
+def struct_bytes(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_DEGENERATE_RNG = np.random.default_rng(6006)
+DEGENERATE_N6 = {
+    "nearly collinear": np.column_stack((_DEGENERATE_RNG.uniform(0, 1, 6), _DEGENERATE_RNG.uniform(-1e-3, 1e-3, 6))),
+    "two clusters": np.repeat(_DEGENERATE_RNG.uniform(0, 1, (2, 2)), 3, axis=0) + _DEGENERATE_RNG.normal(0, 1e-3, (6, 2)),
+    "three clusters": np.repeat(_DEGENERATE_RNG.uniform(0, 1, (3, 2)), 2, axis=0) + _DEGENERATE_RNG.normal(0, 1e-3, (6, 2)),
+    "unit lattice": [(float(i), float(j)) for j in range(2) for i in range(3)],
+    "triangular lattice": [(i + 0.5 * j, j * math.sqrt(3) / 2) for j in range(2) for i in range(3)],
+    "offset by 1e4": _DEGENERATE_RNG.uniform(0, 1, (6, 2)) + 1e4,
+}
+
+
+# terminals on a tilted line up to rounding, where some bounds exceed the
+# optimum by a few ulps
+TILTED_LINE_6 = [
+    (-0.3972254906107485, 0.19707743715965384),
+    (0.45095585188338977, 0.03771964329108861),
+    (-0.3109481194270597, 0.18086749378577327),
+    (0.45035878651891215, 0.03783182097587321),
+    (0.17751272445467814, 0.08909461625079101),
+    (0.09300261996203157, 0.104972522468285),
+]
+TILTED_LINE_5 = [
+    (-0.07891646589955548, -0.6853561664516197),
+    (-0.29125425318760373, -0.5739319468497958),
+    (0.04565321418463408, -0.7507240859665789),
+    (-0.08174293411532851, -0.683872977711668),
+    (-0.4229521649181853, -0.504823488929099),
+]
+
+
+class TestBranchAndBound:
+    """The search decides which full topologies are minimized, never how: the
+    result must equal the exhaustive oracle's bit for bit."""
+
+    def test_criterion_6_style_draw(self):
+        rng = np.random.default_rng(7003)
+        for n, count in ((3, 6), (4, 6), (5, 6), (6, 6)):
+            for _ in range(count):
+                terminals = rng.uniform(0.0, 1.0, (n, 2))
+                assert_bitwise_equal(solve_exact(terminals), exhaustive_solve(terminals))
+
+    @pytest.mark.parametrize("n,ties", [(4, 2), (5, 5), (6, 6)])
+    def test_symmetric_ties_are_all_kept(self, n, ties):
+        terminals = [(0, 0), (1, 0), (1, 1), (0, 1)] if n == 4 else regular_polygon(n)
+        result = solve_exact(terminals)
+        assert len(result.ties) == ties
+        assert_bitwise_equal(result, exhaustive_solve(terminals))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_N6))
+    def test_degenerate_inputs(self, name):
+        terminals = DEGENERATE_N6[name]
+        assert_bitwise_equal(solve_exact(terminals), exhaustive_solve(terminals))
+
+    @pytest.mark.parametrize(
+        "terminals",
+        [
+            [(float(i), 0.0) for i in range(6)],
+            [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)],
+            TILTED_LINE_6,
+            TILTED_LINE_5,
+        ],
+        ids=["collinear", "cross", "tilted line n=6", "tilted line n=5"],
+    )
+    def test_terminal_on_the_partial_tree_keeps_its_topologies(self, terminals):
+        # a terminal inserted onto the partial optimum adds no length, so some
+        # bounds equal the optimum and only the tie margin keeps them
+        assert_bitwise_equal(solve_exact(terminals), exhaustive_solve(terminals))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        terminals=st.integers(4, 6).flatmap(
+            lambda n: st.lists(
+                st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                min_size=n,
+                max_size=n,
+                unique_by=lambda p: (round(p[0], 3), round(p[1], 3)),
+            )
+        )
+    )
+    def test_property_equal_to_exhaustive(self, terminals):
+        assert_bitwise_equal(solve_exact(terminals), exhaustive_solve(terminals))
+
+    def test_uniform_n6_minimizes_fewer_topologies(self):
+        result = solve_exact(np.random.default_rng(5).uniform(0.0, 1.0, (6, 2)))
+        assert result.minimized < 105
+        assert result.minimized + result.pruned == 105
+        assert result.bounded > 0
+        assert result.unconverged == 0
+
+    @pytest.mark.parametrize("n,total", [(3, 1), (4, 3), (5, 15), (6, 105)])
+    def test_every_full_topology_is_minimized_or_pruned(self, n, total):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            result = solve_exact(rng.uniform(0.0, 1.0, (n, 2)))
+            assert result.minimized + result.pruned == total
+            if n <= 4:
+                assert (result.minimized, result.bounded) == (total, 0)
+
+    def test_two_terminals_count_nothing(self):
+        result = solve_exact([(0, 0), (3, 4)])
+        assert (result.minimized, result.bounded, result.pruned, result.unconverged) == (0, 0, 0, 0)
+
+    def test_unconverged_topologies_are_counted(self):
+        # a budget of 12 iterations leaves some topologies of this instance unconverged
+        terminals = np.random.default_rng(12).uniform(0.0, 1.0, (5, 2))
+        result = solve_exact(terminals, max_iterations=12)
+        oracle = exhaustive_solve(terminals, max_iterations=12)
+        assert 0 < result.unconverged <= oracle.unconverged
+        assert result.minimized + result.pruned == 15
+        assert_bitwise_equal(result, oracle)
+
+    def test_insertion_order_is_farthest_first(self):
+        # t1 and t3 are the farthest pair; t4 is farther from both than t0 and t2,
+        # which are then tied at distance 1 from the inserted set
+        t = np.array([(1.0, 0.0), (0.0, 0.0), (3.0, 0.0), (4.0, 0.0), (2.0, 1.5)])
+        d = np.hypot(*np.moveaxis(t[:, None, :] - t[None, :, :], -1, 0))
+        assert exact._insertion_order(d) == [1, 3, 4, 0, 2]
+
+    def test_mst_length_matches_a_brute_force_over_spanning_trees(self):
+        t = np.random.default_rng(3).uniform(0.0, 1.0, (5, 2))
+        d = np.hypot(*np.moveaxis(t[:, None, :] - t[None, :, :], -1, 0))
+        edges = list(itertools.combinations(range(5), 2))
+        best = math.inf
+        for chosen in itertools.combinations(edges, 4):
+            parent = list(range(5))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            joined = 0
+            for a, b in chosen:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+                    joined += 1
+            if joined == 4:
+                best = min(best, sum(d[a, b] for a, b in chosen))
+        assert exact._mst_length(d) == pytest.approx(best, rel=1e-12)
+
+
+class TestContractCollapsed:
+    def test_merged_point_of_degree_four_is_rejected_before_building(self, monkeypatch):
+        crossing = SteinerTopology(n=4, k=2, edges_TS={(0, 0), (2, 0), (1, 1), (3, 1)}, edges_S={(0, 1)})
+        tree = exact.SteinerTree.from_arrays(crossing, [(0, 0), (1, 0), (1, 1), (0, 1)], [(0.5, 0.5), (0.5, 0.5)])
+        monkeypatch.setattr(exact, "validate_topology", lambda topology: pytest.fail("built a rejected topology"))
+        assert exact._contract_collapsed(tree, exact.edge_vectors(tree)[1]) is None
+
+    def test_merge_onto_a_terminal_still_builds_the_reduced_tree(self):
+        tree = exact.SteinerTree.from_arrays(star3(), [(0, 0), (2, 0), (1, 0.05)], [(1, 0.05)])
+        reduced = exact._contract_collapsed(tree, exact.edge_vectors(tree)[1])
+        assert reduced is not None and reduced.k == 0
+        assert validate_topology(reduced.topology).ok

@@ -13,11 +13,17 @@ bitwise print the same digests; a single differing bit changes them.
   square, the regular pentagon and hexagon (co-optimal ties) and a nearly
   collinear triangle. Hashed: the length, and every tie's edge sets and
   Steiner-position bytes.
+- ``solve_exact degenerate``: n = 6 inputs that strain the solver's
+  tolerances: 30 nearly collinear sets, 30 sets in two or three tight
+  clusters, 20 lattice patches with co-optimal ties, 10 uniform sets offset
+  by 1e4, and the regular hexagon. Hashed like ``solve_exact``.
 - ``optimize_fixed_topology``: 60 runs on uniform instances with a random
   full topology and a random start, then the crossing topology on the unit
   square, whose optimum merges two free Steiner points. Hashed: the
   positions, ``gradient_norm``, ``iterations``, ``collapsed_edges`` and
   ``converged``.
+
+A solve that raises is hashed by its exception's type and message.
 """
 
 import hashlib
@@ -47,6 +53,25 @@ def solve_instances() -> list:
     return instances + [SQUARE, regular_polygon(5), regular_polygon(6), [(0.0, 0.0), (2.0, 0.0), (1.0, 0.05)]]
 
 
+def degenerate_instances() -> list:
+    rng = np.random.default_rng(6006)
+    collinear = [np.column_stack((rng.uniform(0.0, 1.0, 6), rng.uniform(-1e-3, 1e-3, 6))) for _ in range(30)]
+    clustered = [
+        np.resize(rng.uniform(0.0, 1.0, (clusters, 2)), (6, 2)) + rng.normal(0.0, 1e-3, (6, 2))
+        for clusters in (2, 3)
+        for _ in range(15)
+    ]
+    lattice = [
+        [(i * dx + (j % 2) * shear, j * dy) for j in range(rows) for i in range(6 // rows)]
+        for rows in (2, 3)
+        for dx, dy, shear in ((1.0, 1.0, 0.0), (1.0, 0.5, 0.0), (1.0, 2.0, 0.0), (1.0, 0.8, 0.0), (1.0, 1.2, 0.0),
+                              (1.0, math.sqrt(3) / 2, 0.5), (1.0, 1.0, 0.5), (2.0, 1.0, 0.0), (1.0, 0.1, 0.0),
+                              (0.3, 1.0, 0.15))
+    ]
+    offset = [rng.uniform(0.0, 1.0, (6, 2)) + 1e4 for _ in range(10)]
+    return collinear + clustered + lattice + offset + [regular_polygon(6)]
+
+
 def optimize_runs() -> list:
     rng = np.random.default_rng(9001)
     runs = []
@@ -63,11 +88,14 @@ def edge_bytes(topology: SteinerTopology) -> bytes:
     return repr((sorted(topology.edges_T), sorted(topology.edges_TS), sorted(topology.edges_S))).encode()
 
 
-def solve_digest() -> tuple[int, str]:
+def solve_digest(instances: list) -> tuple[int, str]:
     digest = hashlib.sha256()
-    instances = solve_instances()
     for terminals in instances:
-        result = solve_exact(terminals)
+        try:
+            result = solve_exact(terminals)
+        except (ValueError, RuntimeError) as error:
+            digest.update(repr(error).encode())
+            continue
         digest.update(struct.pack("<d", result.length))
         for tie in result.ties:
             digest.update(edge_bytes(tie.topology))
@@ -87,7 +115,12 @@ def optimize_digest() -> tuple[int, str]:
 
 
 def main() -> None:
-    for name, compute in (("solve_exact", solve_digest), ("optimize_fixed_topology", optimize_digest)):
+    corpora = (
+        ("solve_exact", lambda: solve_digest(solve_instances())),
+        ("solve_exact degenerate", lambda: solve_digest(degenerate_instances())),
+        ("optimize_fixed_topology", optimize_digest),
+    )
+    for name, compute in corpora:
         count, hexdigest = compute()
         print(f"{name:<24} {count:>5} results  sha256 {hexdigest}")
 
