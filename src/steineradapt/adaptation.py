@@ -31,7 +31,7 @@ from .errors import DegenerateEdgeError, IllConditionedError, SteinerAdaptError
 from .trees import (
     COINCIDENT_THRESHOLD,
     SteinerTree,
-    check_geometric_conditions,
+    _geometric_conditions,
     edge_vectors,
     validate_topology,
 )
@@ -310,7 +310,7 @@ def _evaluate(tree: SteinerTree) -> _Evaluation:
     """Health and factor of ``tree``; a degenerate configuration gives a report, not an error."""
     edges, lengths = edge_vectors(tree)
     try:
-        geo = check_geometric_conditions(tree, angle_tol=1e-6)
+        geo = _geometric_conditions(tree.topology.plan, edges, lengths, angle_tol=1e-6)
     except DegenerateEdgeError as e:
         health = HealthReport(
             min_edge_length=float(lengths.min()),

@@ -21,7 +21,7 @@ from .adaptation import (
     sensitivity_matrix,
 )
 from .derivatives import cost, gradient_s, hessian_ss, mixed_ts
-from .errors import DegenerateEdgeError, DocumentError, IllConditionedError, UsageError
+from .errors import ConvergenceError, DegenerateEdgeError, DocumentError, IllConditionedError, UsageError
 from .trees import SteinerTree, check_geometric_conditions, validate_topology
 
 
@@ -185,7 +185,7 @@ def run_cli(argv=None) -> int:
     except DocumentError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 1
-    except (DegenerateEdgeError, IllConditionedError) as e:
+    except (ConvergenceError, DegenerateEdgeError, IllConditionedError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

@@ -13,6 +13,10 @@ class IllConditionedError(SteinerAdaptError, ArithmeticError):
     """The Steiner Hessian is not usably positive definite at this configuration."""
 
 
+class ConvergenceError(SteinerAdaptError, RuntimeError):
+    """A solver found no answer that passes its own checks."""
+
+
 class DocumentError(SteinerAdaptError, ValueError):
     """A document failed to parse or violated a format rule."""
 

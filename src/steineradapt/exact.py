@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .trees import (
     COINCIDENT_THRESHOLD,
-    EdgePlan,
     NodeRef,
     Point2,
     SteinerTopology,
     SteinerTree,
+    adjacency,
     check_geometric_conditions,
     edge_vectors,
     tree_length,
@@ -113,20 +114,23 @@ def _points_array(points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Internal network form: the Steiner edges' vectors are an affine function of
 # the free coordinates, u = A @ s + c with u_e = position[tail] - position[head]
-# over the plan's ``steiner_edges``. That makes reweighted solves and Hessian
-# assembly direct, and a contraction is a substitution into (A, c).
+# for node pairs in the plan's stacked ids. That makes reweighted solves and
+# Hessian assembly direct, and a contraction is a substitution into (A, c).
 # ---------------------------------------------------------------------------
 
 
-def _network(t: np.ndarray, plan: EdgePlan) -> tuple[np.ndarray, np.ndarray]:
-    tail, head = plan.tail[plan.steiner_edges], plan.head[plan.steiner_edges]
+def _network(t: np.ndarray, k: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) over the pairs that touch a Steiner point, in sorted order as in ``EdgePlan.steiner_edges``."""
+    n = len(t)
+    ends = sorted((min(p), max(p)) for p in pairs if max(p) >= n)
+    tail, head = np.array(ends, dtype=np.intp).reshape(-1, 2).T
     rows = np.arange(len(tail))
-    A = np.zeros((len(tail), plan.k))
+    A = np.zeros((len(tail), k))
     c = np.zeros((len(tail), 2))
-    free = tail >= plan.n
-    A[rows[free], tail[free] - plan.n] += 1.0
+    free = tail >= n
+    A[rows[free], tail[free] - n] += 1.0
     c[~free] += t[tail[~free]]
-    A[rows, head - plan.n] -= 1.0  # the head of a Steiner edge is a Steiner point
+    A[rows, head - n] -= 1.0  # the head of a Steiner edge is a Steiner point
     return A, c
 
 
@@ -316,7 +320,7 @@ def optimize_fixed_topology(
     if s0.shape[0] != topology.k:
         raise ValueError(f"expected {topology.k} initial steiner positions, got {s0.shape[0]}")
 
-    A, c = _network(t, topology.plan)
+    A, c = _network(t, topology.k, topology.plan.node_pairs())
     s, gnorm, iters, converged = _minimize(A, c, s0, grad_tol, max_iterations, _instance_scale(t))
     tree = SteinerTree.from_arrays(topology, t, s)
     lengths = edge_vectors(tree)[1]
@@ -374,8 +378,12 @@ def canonical_encoding(topology: SteinerTopology) -> str:
     match. The tree is encoded rooted at terminal 0 with children sorted
     recursively.
     """
-    n = topology.n
-    adj = topology.adjacency()
+    return _encode(topology.n, topology.k, topology.plan.node_pairs())
+
+
+def _encode(n: int, k: int, pairs) -> str:
+    """:func:`canonical_encoding` of the tree on n terminals and k Steiner points with these node pairs."""
+    adj = adjacency(n + k, pairs)
     visited = [False] * len(adj)
 
     def enc(u: int, parent: int) -> str:
@@ -417,7 +425,7 @@ def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree |
     rewire; None if the result is not a valid tree."""
     topo = tree.topology
     n, k = topo.n, topo.k
-    ends = list(zip(topo.plan.tail.tolist(), topo.plan.head.tolist()))
+    ends = topo.plan.node_pairs()
     total = n + k
     parent = list(range(total))
 
@@ -427,26 +435,17 @@ def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree |
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            # terminals (ids < n) win representative elections
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
     for (p, q), length in zip(ends, lengths):
         if length <= _COLLAPSE_LEN:
-            union(p, q)
+            keep, merged = sorted((find(p), find(q)))
+            parent[merged] = keep  # the smaller id represents, so terminals (ids < n) win
 
-    clusters: dict[int, list[int]] = {}
-    for node in range(total):
-        clusters.setdefault(find(node), []).append(node)
-    for members in clusters.values():
-        if sum(1 for m in members if m < n) > 1:
-            return None  # two terminals forced coincident
+    # a terminal that does not represent its cluster shares it with a smaller terminal
+    if any(find(j) != j for j in range(n)):
+        return None  # two terminals forced coincident
+    reps = sorted({find(x) for x in range(total)})
     # contracting edges of a tree leaves a tree, so only the merged degrees can be wrong
-    degree = dict.fromkeys(clusters, 0)
+    degree = dict.fromkeys(reps, 0)
     for p, q in ends:
         if find(p) != find(q):
             degree[find(p)] += 1
@@ -454,7 +453,7 @@ def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree |
     if any(d != 3 if rep >= n else d > 3 for rep, d in degree.items()):
         return None
 
-    new_steiner_reps = sorted(rep for rep in clusters if rep >= n)
+    new_steiner_reps = [rep for rep in reps if rep >= n]
     # each node's id in the reduced topology: terminals keep theirs, Steiner representatives are renumbered
     renum = {rep: n + i for i, rep in enumerate(new_steiner_reps)}
     reduced_id = [renum.get(find(x), find(x)) for x in range(total)]
@@ -510,10 +509,10 @@ def _mst_length(d: np.ndarray) -> float:
 class _Search:
     """State of one branch-and-bound solve.
 
-    Nodes of the search are edge lists in the enumeration's ids: the
-    terminal inserted ``j``-th is ``j`` and the Steiner point added with it
-    is ``n + j - 2``, so the Steiner point's index is its column in the
-    network and its row in the positions.
+    Nodes of the search are edge lists of node pairs: terminal ``j`` is
+    ``j`` and the Steiner point added with the terminal inserted ``j``-th is
+    ``n + j - 2``, so the Steiner point's index is its column in the network
+    and its row in the positions.
     """
 
     t: np.ndarray
@@ -534,14 +533,14 @@ class _Search:
         if m == n:
             self.leaf(edges)
             return
-        fresh = n + m - 2
+        fresh, term = n + m - 2, self.order[m]
         children = []
         for pos, (a, b) in enumerate(edges):
-            grown = edges[:pos] + edges[pos + 1 :] + [(a, fresh), (fresh, b), (m, fresh)]
+            grown = edges[:pos] + edges[pos + 1 :] + [(a, fresh), (fresh, b), (term, fresh)]
             if m + 1 == n:
                 self.leaf(grown)
                 continue
-            ends = [self.t[self.order[x]] if x < n else s[x - n] for x in (a, b, m)]
+            ends = [self.t[x] if x < n else s[x - n] for x in (a, b, term)]
             start = np.vstack((s, sum(ends) / 3.0))
             bound, s_child, converged = self.bound(grown, start)
             children.append((bound, pos, s_child, converged, grown))
@@ -562,9 +561,7 @@ class _Search:
 
     def bound(self, edges: list[tuple[int, int]], start: np.ndarray) -> tuple[float, np.ndarray, bool]:
         """Optimal length of a partial topology on its own terminals, warm-started."""
-        n, m = len(self.t), len(start) + 2
-        local = [(x if x < n else x - n + m, y if y < n else y - n + m) for x, y in edges]
-        A, c = _network(self.t[self.order[:m]], SteinerTopology.from_node_pairs(m, m - 2, local).plan)
+        A, c = _network(self.t, len(start), edges)
         s, _, _, converged = _minimize(A, c, start, self.grad_tol, self.max_iterations, self.scale)
         self.bounded += 1
         u = A @ s + c
@@ -574,10 +571,9 @@ class _Search:
         """Minimize a full topology from the cold start of its enumeration index
         ``i`` and merge its node coincidences; the same work for every search order."""
         n = len(self.t)
-        labelled = [(self.order[x] if x < n else x, self.order[y] if y < n else y) for x, y in edges]
-        i = _full_topology_index(n)[canonical_encoding(SteinerTopology.from_node_pairs(n, n - 2, labelled))]
+        i = _full_topology_index(n)[_encode(n, n - 2, edges)]
         topo = _full_topologies(n)[i]
-        A, c = _network(self.t, topo.plan)
+        A, c = _network(self.t, n - 2, topo.plan.node_pairs())
         s0 = _seed_positions(A, c, self.scale, i)
         s, _, _, converged = _minimize(A, c, s0, self.grad_tol, self.max_iterations, self.scale)
         self.minimized += 1
@@ -608,47 +604,46 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
 
     Raises:
         ValueError: terminal count out of range or coincident terminals.
+        ConvergenceError: no topology's optimum converged to a valid tree,
+            or the winner fails its own validity checks.
     """
     t = _points_array(terminals)
     n = t.shape[0]
     if not 2 <= n <= 6:
         raise ValueError(f"terminal count must be between 2 and 6, got {n}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.hypot(*(t[i] - t[j])) <= COINCIDENT_THRESHOLD:
-                raise ValueError(f"coincident terminals t{i} and t{j}")
+    d = np.hypot(*np.moveaxis(t[:, None, :] - t[None, :, :], -1, 0))
+    coincident = np.argwhere(np.triu(d <= COINCIDENT_THRESHOLD, 1))
+    if coincident.size:
+        i, j = coincident[0]
+        raise ValueError(f"coincident terminals t{i} and t{j}")
 
     if n == 2:
         topo = SteinerTopology(n=2, k=0, edges_T=frozenset({(0, 1)}))
         tree = SteinerTree.from_arrays(topo, t, np.zeros((0, 2)))
         return ExactSolveResult(tree=tree, length=tree_length(tree), ties=(tree,))
 
-    d = np.hypot(*np.moveaxis(t[:, None, :] - t[None, :, :], -1, 0))
     order = _insertion_order(d)
     search = _Search(t, order, _instance_scale(t), grad_tol, max_iterations, incumbent=_mst_length(d))
     # the three-terminal root is never pruned, so it is never minimized
-    search.visit([(0, n), (1, n), (2, n)], t[order[:3]].mean(axis=0, keepdims=True))
+    search.visit([(order[0], n), (order[1], n), (order[2], n)], t[order[:3]].mean(axis=0, keepdims=True))
 
     if not search.candidates:
-        raise RuntimeError("no topology produced a valid optimum")
-    candidates = [(length, tr) for _, length, tr in sorted(search.candidates, key=lambda item: item[0])]
-    best = min(length for length, _ in candidates)
+        raise ConvergenceError("no topology produced a valid optimum")
+    best = min(length for _, length, _ in search.candidates)
     tie_tol = 1e-9 * max(1.0, best)
-    pool = [(canonical_encoding(tr.topology), length, tr) for length, tr in candidates if length <= best + tie_tol]
-    pool.sort(key=lambda item: (item[0], item[1]))
-    deduped: list[tuple[str, float, SteinerTree]] = []
-    for code, length, tr in pool:
-        if not deduped or deduped[-1][0] != code:
-            deduped.append((code, length, tr))
+    # one tree per encoding: the shortest, and of equal ones the first enumerated
+    near = [(i, length, tr) for i, length, tr in search.candidates if length <= best + tie_tol]
+    pool = sorted((canonical_encoding(tr.topology), length, i, tr) for i, length, tr in near)
+    deduped = [item for j, item in enumerate(pool) if j == 0 or pool[j - 1][0] != item[0]]
 
-    winner = deduped[0][2]
+    winner = deduped[0][3]
     report = check_geometric_conditions(winner, angle_tol=1e-6)
     if not (validate_topology(winner.topology).ok and report.satisfies_angle_condition):
-        raise RuntimeError("exact solve produced a tree failing its own validity checks")
+        raise ConvergenceError("exact solve produced a tree failing its own validity checks")
     return ExactSolveResult(
         tree=winner,
         length=deduped[0][1],
-        ties=tuple(tr for _, _, tr in deduped),
+        ties=tuple(tr for _, _, _, tr in deduped),
         minimized=search.minimized,
         bounded=search.bounded,
         pruned=search.pruned,

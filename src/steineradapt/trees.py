@@ -173,6 +173,10 @@ class EdgePlan:
     pair_sign: np.ndarray
     pair_at_steiner: np.ndarray
 
+    def node_pairs(self) -> list[tuple[int, int]]:
+        """Every edge as its ``(tail, head)`` pair of stacked ids."""
+        return list(zip(self.tail.tolist(), self.head.tolist()))
+
     @cached_property
     def forest(self) -> SteinerForest:
         """The Steiner-Steiner subgraph ordered for elimination, built on first use.
@@ -282,14 +286,6 @@ class SteinerTopology:
         """Yield every edge as a pair of node references, deterministically ordered:
         terminal-terminal, terminal-Steiner, then Steiner-Steiner, each sorted."""
         return iter(self.plan.refs)
-
-    def adjacency(self) -> list[list[int]]:
-        """Neighbors of every node, both in the plan's stacked node ids."""
-        adj: list[list[int]] = [[] for _ in range(self.n + self.k)]
-        for a, b in zip(self.plan.tail.tolist(), self.plan.head.tolist()):
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
 
     def terminal_degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -458,8 +454,18 @@ def _validate(topology: SteinerTopology) -> TopologyValidation:
     return TopologyValidation(ok=not v, violations=tuple(v))
 
 
+def adjacency(total: int, pairs) -> list[list[int]]:
+    """Neighbors of each of the nodes ``0..total-1`` joined by the node ``pairs``,
+    in the plan's stacked ids: terminal ``j`` is ``j``, Steiner point ``i`` is ``n + i``."""
+    adj: list[list[int]] = [[] for _ in range(total)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def _is_connected(topology: SteinerTopology) -> bool:
-    adj = topology.adjacency()
+    adj = adjacency(topology.n + topology.k, topology.plan.node_pairs())
     total = len(adj)
     if total == 0:
         return False
@@ -511,11 +517,15 @@ def nondegenerate_edge_vectors(tree: SteinerTree) -> tuple[np.ndarray, np.ndarra
             coincidence threshold.
     """
     u, lengths = edge_vectors(tree)
+    _check_nondegenerate(tree.topology.plan, lengths)
+    return u, lengths
+
+
+def _check_nondegenerate(plan: EdgePlan, lengths: np.ndarray) -> None:
     short = np.flatnonzero(lengths <= COINCIDENT_THRESHOLD)
     if short.size:
-        a, b = tree.topology.plan.refs[short[0]]
+        a, b = plan.refs[short[0]]
         raise DegenerateEdgeError(f"coincident nodes: edge {a}-{b} has length {lengths[short[0]]:.3e}")
-    return u, lengths
 
 
 def tree_length(tree: SteinerTree) -> float:
@@ -539,8 +549,12 @@ def check_geometric_conditions(tree: SteinerTree, angle_tol: float = 1e-6) -> Ge
         DegenerateEdgeError: if any edge is shorter than the coincidence
             threshold; angles are undefined there.
     """
-    u, lengths = nondegenerate_edge_vectors(tree)
-    plan = tree.topology.plan
+    return _geometric_conditions(tree.topology.plan, *edge_vectors(tree), angle_tol)
+
+
+def _geometric_conditions(plan: EdgePlan, u: np.ndarray, lengths: np.ndarray, angle_tol: float) -> GeometricConditionReport:
+    """:func:`check_geometric_conditions` from the tree's :func:`edge_vectors`."""
+    _check_nondegenerate(plan, lengths)
     unit = u / lengths[:, None]
     a, b = unit[plan.pair_edges[:, 0]], unit[plan.pair_edges[:, 1]]
     # atan2 form is stable for nearly parallel and nearly opposite directions

@@ -253,7 +253,7 @@ def exhaustive_solve(terminals, grad_tol: float = 1e-10, max_iterations: int = 5
     candidates: list[tuple[float, SteinerTree]] = []
     unconverged = 0
     for salt, topo in enumerate(enumerate_full_topologies(n)):
-        A, c = exact._network(t, topo.plan)
+        A, c = exact._network(t, topo.k, topo.plan.node_pairs())
         s0 = exact._seed_positions(A, c, scale, salt)
         s, _, _, converged = exact._minimize(A, c, s0, grad_tol, max_iterations, scale)
         if not converged:

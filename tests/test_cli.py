@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from steineradapt import ConvergenceError, exact
 from steineradapt.cli import run_cli
 from steineradapt.documents import decode_instance, decode_report
+from steineradapt.trees import GeometricConditionReport
 
 EXAMPLE1 = {
     "format_version": 1,
@@ -20,6 +22,22 @@ def example1_file(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(EXAMPLE1))
     return str(path)
+
+
+# Names in ``exact`` replaced to make ``solve_exact`` fail each of its own
+# checks: every topology unconverged, or a winner failing its conditions.
+SOLVER_FAILURES = {
+    "no converged topology": (
+        "_minimize",
+        lambda A, c, s0, *rest: (s0, math.inf, 0, False),
+        "no topology produced a valid optimum",
+    ),
+    "winner fails its checks": (
+        "check_geometric_conditions",
+        lambda tree, angle_tol: GeometricConditionReport(1.0, 1.0, 0.0, satisfies_angle_condition=False),
+        "failing its own validity checks",
+    ),
+}
 
 
 def write_delta(tmp_path, pairs, name="delta.json"):
@@ -134,6 +152,21 @@ class TestSolveCommand:
         assert tree_length(tree) == pytest.approx(1 + math.sqrt(3), abs=1e-9)
         # a solve output always passes check
         assert run_cli(["check", "--instance", str(out)]) == 0
+
+    @pytest.mark.parametrize("failure", sorted(SOLVER_FAILURES))
+    def test_solver_failure_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, failure):
+        name, replacement, message = SOLVER_FAILURES[failure]
+        monkeypatch.setattr(exact, name, replacement)
+        square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        with pytest.raises(ConvergenceError, match=message):
+            exact.solve_exact(square)
+        instance = tmp_path / "square.json"
+        instance.write_text(json.dumps({"format_version": 1, "terminals": square}))
+        out = tmp_path / "solved.json"
+        assert run_cli(["solve", "--instance", str(instance), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_rejects_tree_instance(self, tmp_path, example1_file):
         assert run_cli(["solve", "--instance", example1_file, "--out", str(tmp_path / "o.json")]) == 1

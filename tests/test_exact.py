@@ -20,7 +20,7 @@ from steineradapt import (
     tree_length,
     validate_topology,
 )
-from steineradapt import exact
+from steineradapt import exact, trees
 from conftest import EXAMPLE1_TERMINALS, exhaustive_solve
 
 
@@ -74,6 +74,24 @@ class TestCompareTopologies:
 
     def test_different_sizes_differ(self):
         assert not compare_topologies(star3(), enumerate_full_topologies(4)[0])
+
+
+class TestPairEncoding:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 6), seed=st.integers(0, 2**32 - 1))
+    def test_relabelled_reordered_and_reversed_pairs_find_their_topology(self, n, seed):
+        # the search meets each full topology with its own Steiner numbering,
+        # pair order and orientation, and must still find its enumeration index
+        rng = np.random.default_rng(seed)
+        index = exact._full_topology_index(n)
+        for i, topology in enumerate(enumerate_full_topologies(n)):
+            relabel = np.concatenate((np.arange(n), n + rng.permutation(n - 2)))
+            pairs = [(int(relabel[a]), int(relabel[b])) for a, b in topology.plan.node_pairs()]
+            pairs = [pair[::-1] if flip else pair for pair, flip in zip(pairs, rng.integers(0, 2, len(pairs)))]
+            pairs = [pairs[j] for j in rng.permutation(len(pairs))]
+            code = exact._encode(n, n - 2, pairs)
+            assert code == canonical_encoding(topology)
+            assert index[code] == i
 
 
 class TestOptimizeFixedTopology:
@@ -166,6 +184,10 @@ class TestSolveExact:
         with pytest.raises(ValueError, match="coincident"):
             solve_exact([(0, 0), (0, 0), (1, 1)])
 
+    def test_coincident_terminals_name_the_first_pair(self):
+        with pytest.raises(ValueError, match="coincident terminals t0 and t2$"):
+            solve_exact([(0, 0), (1, 1), (0, 0), (1, 1)])
+
     @pytest.mark.parametrize("n", [1, 7])
     def test_count_out_of_range(self, n):
         with pytest.raises(ValueError):
@@ -250,7 +272,7 @@ class TestAffineNetwork:
         t = rng.uniform(0.0, 1.0, (6, 2))
         plan = enumerate_full_topologies(6)[which].plan
         edges = list(zip(plan.tail[plan.steiner_edges].tolist(), plan.head[plan.steiner_edges].tolist()))
-        A, c = exact._network(t, plan)
+        A, c = exact._network(t, 4, plan.node_pairs())
         expected_A, expected_c = loop_network(t, 4, edges)
         assert np.array_equal(A, expected_A) and np.array_equal(c, expected_c)
         s = rng.uniform(0.0, 1.0, (4, 2))
@@ -360,6 +382,29 @@ class TestBranchAndBound:
     )
     def test_property_equal_to_exhaustive(self, terminals):
         assert_bitwise_equal(solve_exact(terminals), exhaustive_solve(terminals))
+
+    def test_search_builds_no_plan_but_for_the_reduced_trees(self, monkeypatch):
+        # the enumeration's plans are built once per process; warm them first
+        for topology in enumerate_full_topologies(6):
+            assert topology.plan is not None
+        exact._full_topology_index(6)
+        calls = {"plans": 0, "reduced": 0}
+
+        def build_plan(topology):
+            calls["plans"] += 1
+            return build_plan_original(topology)
+
+        def contract_collapsed(tree, lengths):
+            reduced = contract_original(tree, lengths)
+            calls["reduced"] += reduced is not None
+            return reduced
+
+        build_plan_original, contract_original = trees._build_plan, exact._contract_collapsed
+        monkeypatch.setattr(trees, "_build_plan", build_plan)
+        monkeypatch.setattr(exact, "_contract_collapsed", contract_collapsed)
+        result = solve_exact(np.random.default_rng(5).uniform(0.0, 1.0, (6, 2)))
+        assert result.bounded > 0
+        assert calls["plans"] <= calls["reduced"]
 
     def test_uniform_n6_minimizes_fewer_topologies(self):
         result = solve_exact(np.random.default_rng(5).uniform(0.0, 1.0, (6, 2)))

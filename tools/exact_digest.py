@@ -23,7 +23,10 @@ bitwise print the same digests; a single differing bit changes them.
   positions, ``gradient_norm``, ``iterations``, ``collapsed_edges`` and
   ``converged``.
 
-A solve that raises is hashed by its exception's type and message.
+A solve that raises is hashed by its exception's type and message. After
+each solve corpus's digest the script prints the search's summed
+``minimized``, ``bounded``, ``pruned`` and ``unconverged`` counts and the
+corpus's wall time; they stay outside the hash.
 """
 
 import hashlib
@@ -31,6 +34,7 @@ import math
 import os
 import struct
 import sys
+import time
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -88,22 +92,30 @@ def edge_bytes(topology: SteinerTopology) -> bytes:
     return repr((sorted(topology.edges_T), sorted(topology.edges_TS), sorted(topology.edges_S))).encode()
 
 
-def solve_digest(instances: list) -> tuple[int, str]:
+WORK = ("minimized", "bounded", "pruned", "unconverged")
+
+
+def solve_digest(instances: list) -> tuple[int, str, str]:
     digest = hashlib.sha256()
+    work = dict.fromkeys(WORK, 0)
+    start = time.perf_counter()
     for terminals in instances:
         try:
             result = solve_exact(terminals)
         except (ValueError, RuntimeError) as error:
             digest.update(repr(error).encode())
             continue
+        for name in WORK:
+            work[name] += getattr(result, name)
         digest.update(struct.pack("<d", result.length))
         for tie in result.ties:
             digest.update(edge_bytes(tie.topology))
             digest.update(tie.steiner_positions.tobytes())
-    return len(instances), digest.hexdigest()
+    summary = " ".join(f"{name} {count}" for name, count in work.items())
+    return len(instances), digest.hexdigest(), f"{summary} in {time.perf_counter() - start:.1f} s"
 
 
-def optimize_digest() -> tuple[int, str]:
+def optimize_digest() -> tuple[int, str, None]:
     digest = hashlib.sha256()
     runs = optimize_runs()
     for terminals, topology, start in runs:
@@ -111,7 +123,7 @@ def optimize_digest() -> tuple[int, str]:
         digest.update(result.tree.steiner_positions.tobytes())
         digest.update(struct.pack("<dq?", result.gradient_norm, result.iterations, result.converged))
         digest.update(repr(sorted((str(a), str(b)) for a, b in result.collapsed_edges)).encode())
-    return len(runs), digest.hexdigest()
+    return len(runs), digest.hexdigest(), None
 
 
 def main() -> None:
@@ -121,8 +133,10 @@ def main() -> None:
         ("optimize_fixed_topology", optimize_digest),
     )
     for name, compute in corpora:
-        count, hexdigest = compute()
+        count, hexdigest, summary = compute()
         print(f"{name:<24} {count:>5} results  sha256 {hexdigest}")
+        if summary:
+            print(f"{'':<24} {summary}", flush=True)
 
 
 if __name__ == "__main__":
