@@ -46,6 +46,9 @@ _COLLAPSE_LEN = 1e-9
 # Relative edge length below which a contraction is attempted. Eager on
 # purpose: a wrong attempt is caught by the split test and remembered.
 _CONTRACT_TRIGGER = 2e-2
+# Reweighted steps a search node's dual certificate runs from its warm start
+# before the least-squares correction; 3 to 8 cost a solve alike.
+_CERTIFY_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,11 @@ class ExactSolveResult:
     optimized, ``bounded`` partial topologies were optimized for a lower
     bound, ``pruned`` full topologies were skipped because a bound ruled
     them out, and ``unconverged`` of the minimized ones were dropped
-    because their optimization did not converge. For n >= 3,
+    because their optimization did not converge. ``certified`` search
+    nodes, partial or full, were pruned by a dual lower bound without being
+    minimized; their full topologies count in ``pruned``. For n >= 3,
     ``minimized + pruned`` is the number of full topologies, (2n - 5)!!;
-    for n = 2 all four are 0.
+    for n = 2 all five are 0.
     """
 
     tree: SteinerTree
@@ -90,6 +95,7 @@ class ExactSolveResult:
     bounded: int = 0
     pruned: int = 0
     unconverged: int = 0
+    certified: int = 0
 
 
 def full_topology(n: int, k: int, edges_T=frozenset(), edges_TS=frozenset(), edges_S=frozenset()) -> SteinerTopology:
@@ -286,6 +292,32 @@ def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, bud
     return s, gnorm, it, False
 
 
+def _dual_bound(A: np.ndarray, c: np.ndarray, s0: np.ndarray, scale: float) -> float:
+    """A certified lower bound on min_s Σₑ‖A s + c‖ₑ after a few reweighted steps from ``s0``.
+
+    Weak duality (G. Xue & Y. Ye, SIAM J. Optim. 7, 1997): for any w with
+    ‖wₑ‖ <= 1, Σₑ‖uₑ(s*)‖ >= Σₑ wₑ·uₑ(s) + (Aᵀw)·(s* - s). The unit edge
+    vectors at the iterate, corrected onto Aᵀw = 0 by least squares with the
+    reweighting's weights 1/dₑ, are the next iterate's edge vectors over the
+    current lengths, so the correction costs one more reweighted solve.
+    Scaling w as a whole into the unit balls keeps Aᵀw = 0 up to rounding;
+    the last term is at most ‖Aᵀw‖·√k·scale because a reweighted iterate and
+    an optimum both lie in the terminals' convex hull. The steps run in a
+    frame centred on the start and the sum runs over edge vectors, so
+    rounding scales with the instance, not with its distance from the
+    origin.
+    """
+    centre = s0.mean(axis=0)
+    c = c + A.sum(axis=1)[:, None] * centre  # the terminals' rows, shifted by -centre
+    s = s0 - centre
+    for _ in range(_CERTIFY_STEPS + 1):
+        d, s = _smooth_lengths(A @ s + c), _irls_step(A, c, s)
+    u = A @ s + c
+    w = u / d[:, None]
+    w /= max(1.0, float(np.hypot(w[:, 0], w[:, 1]).max()))
+    return float((w * u).sum()) - float(np.linalg.norm(A.T @ w)) * math.sqrt(A.shape[1]) * scale
+
+
 def _instance_scale(t: np.ndarray) -> float:
     span = t.max(axis=0) - t.min(axis=0)
     return max(float(np.hypot(span[0], span[1])), 1e-9)
@@ -377,16 +409,24 @@ def canonical_encoding(topology: SteinerTopology) -> str:
     topologies are equal up to Steiner renumbering iff their encodings
     match. The tree is encoded rooted at terminal 0 with children sorted
     recursively.
+
+    Raises:
+        ValueError: the edges do not form a tree (wrong edge count, a cycle
+            or a disconnected node).
     """
     return _encode(topology.n, topology.k, topology.plan.node_pairs())
 
 
 def _encode(n: int, k: int, pairs) -> str:
     """:func:`canonical_encoding` of the tree on n terminals and k Steiner points with these node pairs."""
+    if len(pairs) != n + k - 1:
+        raise ValueError(f"a tree on {n + k} nodes has {n + k - 1} edges, got {len(pairs)}")
     adj = adjacency(n + k, pairs)
     visited = [False] * len(adj)
 
     def enc(u: int, parent: int) -> str:
+        if visited[u]:
+            raise ValueError("topology must be a tree to encode, found a cycle")
         visited[u] = True
         label = f"t{u}" if u < n else "s"
         kids = sorted(enc(w, u) for w in adj[u] if w != parent)
@@ -526,6 +566,7 @@ class _Search:
     bounded: int = 0
     pruned: int = 0
     unconverged: int = 0
+    certified: int = 0
 
     def visit(self, edges: list[tuple[int, int]], s: np.ndarray) -> None:
         n = len(self.t)
@@ -534,34 +575,46 @@ class _Search:
             self.leaf(edges)
             return
         fresh, term = n + m - 2, self.order[m]
+        below = math.prod(2 * j - 3 for j in range(m + 1, n))  # full topologies under each child
         children = []
         for pos, (a, b) in enumerate(edges):
             grown = edges[:pos] + edges[pos + 1 :] + [(a, fresh), (fresh, b), (term, fresh)]
-            if m + 1 == n:
-                self.leaf(grown)
-                continue
             ends = [self.t[x] if x < n else s[x - n] for x in (a, b, term)]
             start = np.vstack((s, sum(ends) / 3.0))
-            bound, s_child, converged = self.bound(grown, start)
-            children.append((bound, pos, s_child, converged, grown))
+            A, c = _network(self.t, len(start), grown)
+            # a child whose dual bound clears the cut is ruled out without a minimization
+            if _dual_bound(A, c, start, self.scale) > self.cut():
+                self.certified += 1
+                self.pruned += below
+            elif m + 1 == n:
+                self.leaf(grown)
+            else:
+                bound, s_child, converged = self.bound(A, c, start)
+                children.append((bound, pos, s_child, converged, grown))
         children.sort(key=lambda child: child[:2])
-        # A full topology's optimum is at least its ancestors' bounds: deleting a
-        # leaf terminal and suppressing its Steiner point never lengthens a tree.
-        # A candidate's reduced length leaves out its collapsed edges, at most
-        # 2n - 3 of at most _COLLAPSE_LEN each, and the incumbent never falls
-        # below the final best. So every topology whose candidate lands within
-        # best + tie_tol has all its bounds at or below this cut and is reached;
-        # ``ties`` stays complete and the winner is the exhaustive solve's.
         for bound, _, s_child, converged, grown in children:
-            cut = self.incumbent + 1e-9 * max(1.0, self.incumbent) + (2 * n - 3) * _COLLAPSE_LEN
-            if converged and bound > cut:
-                self.pruned += math.prod(2 * j - 3 for j in range(m + 1, n))
+            if converged and bound > self.cut():
+                self.pruned += below
             else:
                 self.visit(grown, s_child)
 
-    def bound(self, edges: list[tuple[int, int]], start: np.ndarray) -> tuple[float, np.ndarray, bool]:
-        """Optimal length of a partial topology on its own terminals, warm-started."""
-        A, c = _network(self.t, len(start), edges)
+    def cut(self) -> float:
+        """The length above which a lower bound rules out a subtree.
+
+        A bound is a node's converged optimum or its dual certificate, never
+        above the node's optimum. A full topology's optimum is at least its
+        ancestors' optima: deleting a leaf terminal and suppressing its
+        Steiner point never lengthens a tree. A candidate's reduced length
+        leaves out its collapsed edges, at most 2n - 3 of at most
+        _COLLAPSE_LEN each, and the incumbent never falls below the final
+        best. So every topology whose candidate lands within best + tie_tol
+        has all its bounds at or below this cut and is reached; ``ties``
+        stays complete and the winner is the exhaustive solve's.
+        """
+        return self.incumbent + 1e-9 * max(1.0, self.incumbent) + (2 * len(self.t) - 3) * _COLLAPSE_LEN
+
+    def bound(self, A: np.ndarray, c: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray, bool]:
+        """Optimal length of a partial topology's network on its own terminals, warm-started."""
         s, _, _, converged = _minimize(A, c, start, self.grad_tol, self.max_iterations, self.scale)
         self.bounded += 1
         u = A @ s + c
@@ -648,4 +701,5 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
         bounded=search.bounded,
         pruned=search.pruned,
         unconverged=search.unconverged,
+        certified=search.certified,
     )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from steineradapt import (
     NodeRef,
     SteinerTopology,
+    SteinerTree,
     canonical_encoding,
     check_geometric_conditions,
     compare_topologies,
@@ -21,7 +22,7 @@ from steineradapt import (
     validate_topology,
 )
 from steineradapt import exact, trees
-from conftest import EXAMPLE1_TERMINALS, exhaustive_solve
+from conftest import EXAMPLE1_TERMINALS, exhaustive_solve, grown_tree
 
 
 def star3():
@@ -74,6 +75,18 @@ class TestCompareTopologies:
 
     def test_different_sizes_differ(self):
         assert not compare_topologies(star3(), enumerate_full_topologies(4)[0])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            dict(edges_T={(0, 1), (1, 2), (0, 2)}),  # a tree's edge count, but a cycle and a lone Steiner point
+            dict(edges_T={(0, 1)}, edges_TS={(0, 0), (1, 0), (2, 0)}),  # one edge too many
+        ],
+        ids=["cycle", "extra edge"],
+    )
+    def test_non_tree_raises_value_error(self, edges):
+        with pytest.raises(ValueError, match="tree"):
+            canonical_encoding(SteinerTopology(n=3, k=1, **edges))
 
 
 class TestPairEncoding:
@@ -420,11 +433,18 @@ class TestBranchAndBound:
             result = solve_exact(rng.uniform(0.0, 1.0, (n, 2)))
             assert result.minimized + result.pruned == total
             if n <= 4:
-                assert (result.minimized, result.bounded) == (total, 0)
+                assert result.bounded == 0
+
+    def test_dual_certificates_spare_minimizations(self):
+        # the same instance minimized 14 full topologies before certificates
+        result = solve_exact(np.random.default_rng(5).uniform(0.0, 1.0, (6, 2)))
+        assert result.certified > 0
+        assert result.minimized < 14
+        assert result.minimized + result.pruned == 105
 
     def test_two_terminals_count_nothing(self):
         result = solve_exact([(0, 0), (3, 4)])
-        assert (result.minimized, result.bounded, result.pruned, result.unconverged) == (0, 0, 0, 0)
+        assert (result.minimized, result.bounded, result.pruned, result.unconverged, result.certified) == (0,) * 5
 
     def test_unconverged_topologies_are_counted(self):
         # a budget of 12 iterations leaves some topologies of this instance unconverged
@@ -478,3 +498,70 @@ class TestContractCollapsed:
         reduced = exact._contract_collapsed(tree, exact.edge_vectors(tree)[1])
         assert reduced is not None and reduced.k == 0
         assert validate_topology(reduced.topology).ok
+
+
+def certificate_terminals(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform terminals, or n-terminal sets drawn like the degenerate digest corpus's."""
+    if kind == "collinear":
+        return np.column_stack((rng.uniform(0.0, 1.0, n), rng.uniform(-1e-3, 1e-3, n)))
+    if kind == "clustered":
+        centres = rng.uniform(0.0, 1.0, (int(rng.integers(2, 4)), 2))
+        return np.resize(centres, (n, 2)) + rng.normal(0.0, 1e-3, (n, 2))
+    return rng.uniform(0.0, 1.0, (n, 2)) + (1e4 if kind == "offset" else 0.0)
+
+
+class TestDualCertificate:
+    """``exact._dual_bound`` is a lower bound on a network's optimal length
+    wherever it starts, and tight at a smooth optimum."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["uniform", "collinear", "clustered", "offset"]),
+        n=st.integers(4, 6),
+        missing=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_above_the_optimum(self, kind, n, missing, seed):
+        # a partial network joins m < n of the terminals, numbered as in the search
+        rng = np.random.default_rng(seed)
+        t = certificate_terminals(kind, n, rng)
+        m = max(3, n - missing)
+        joined = rng.permutation(n)[:m]
+        topologies = enumerate_full_topologies(m)
+        topology = topologies[int(rng.integers(len(topologies)))]
+        label = np.concatenate((joined, n + np.arange(m - 2)))
+        A, c = exact._network(t, m - 2, [(int(label[p]), int(label[q])) for p, q in topology.plan.node_pairs()])
+        low, high = t.min(axis=0), t.max(axis=0)
+        start = rng.uniform(2 * low - high, 2 * high - low, (m - 2, 2))
+        start[rng.random(m - 2) < 0.3] = t[joined[0]]  # some start on a terminal, at the smoothing floor
+        bound = exact._dual_bound(A, c, start, exact._instance_scale(t))
+        # any tree of the topology is at least the optimum, converged or not
+        tree = optimize_fixed_topology(t[joined], topology, start, max_iterations=2000).tree
+        assert bound <= tree_length(tree) + 1e-12
+
+    def test_tight_at_smooth_optima(self):
+        # converged minimizations on uniform terminals, and 120-degree grown
+        # trees, which are optima by construction, also far from the origin
+        rng = np.random.default_rng(35)
+        optima = []
+        for _ in range(30):
+            n = int(rng.integers(4, 6))
+            t = rng.uniform(0.0, 1.0, (n, 2))
+            for topology in enumerate_full_topologies(n):
+                result = optimize_fixed_topology(t, topology, rng.uniform(0.2, 0.8, (n - 2, 2)))
+                if result.converged:
+                    optima.append(result.tree)
+        for k in range(2, 12):
+            tree = grown_tree(rng, k)
+            optima += [tree, SteinerTree.from_arrays(tree.topology, tree.terminal_positions + 1e4, tree.steiner_positions + 1e4)]
+        checked = 0
+        for tree in optima:
+            t = tree.terminal_positions
+            scale = exact._instance_scale(t)
+            if exact.edge_vectors(tree)[1].min() < 1e-3 * scale:
+                continue
+            A, c = exact._network(t, tree.k, tree.topology.plan.node_pairs())
+            bound, length = exact._dual_bound(A, c, tree.steiner_positions, scale), tree_length(tree)
+            assert length - 1e-9 * length <= bound <= length + 1e-12
+            checked += 1
+        assert checked >= 30

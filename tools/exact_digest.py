@@ -25,8 +25,8 @@ bitwise print the same digests; a single differing bit changes them.
 
 A solve that raises is hashed by its exception's type and message. After
 each solve corpus's digest the script prints the search's summed
-``minimized``, ``bounded``, ``pruned`` and ``unconverged`` counts and the
-corpus's wall time; they stay outside the hash.
+``minimized``, ``bounded``, ``pruned``, ``unconverged`` and ``certified``
+counts and the corpus's wall time; they stay outside the hash.
 """
 
 import hashlib
@@ -92,7 +92,7 @@ def edge_bytes(topology: SteinerTopology) -> bytes:
     return repr((sorted(topology.edges_T), sorted(topology.edges_TS), sorted(topology.edges_S))).encode()
 
 
-WORK = ("minimized", "bounded", "pruned", "unconverged")
+WORK = ("minimized", "bounded", "pruned", "unconverged", "certified")
 
 
 def solve_digest(instances: list) -> tuple[int, str, str]:
