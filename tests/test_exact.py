@@ -444,7 +444,7 @@ class TestBranchAndBound:
 
     def test_two_terminals_count_nothing(self):
         result = solve_exact([(0, 0), (3, 4)])
-        assert (result.minimized, result.bounded, result.pruned, result.unconverged, result.certified) == (0,) * 5
+        assert (result.minimized, result.bounded, result.pruned, result.unconverged) == (0, 0, 0, 0)
 
     def test_unconverged_topologies_are_counted(self):
         # a budget of 12 iterations leaves some topologies of this instance unconverged
