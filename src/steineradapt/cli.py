@@ -9,6 +9,7 @@ data goes only to the requested output targets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -72,6 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run_cli`, built once per process: parsing does not change it."""
+    return build_parser()
 
 
 def _read(path: str) -> str:
@@ -175,9 +182,8 @@ def _cmd_compare(args) -> int:
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

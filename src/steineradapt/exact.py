@@ -43,8 +43,8 @@ from .trees import (
 _SMOOTH_EPS = 1e-12
 # Final edge length at or below this counts as a node coincidence.
 _COLLAPSE_LEN = 1e-9
-# Relative edge length below which a contraction is attempted. Eager on
-# purpose: a wrong attempt is caught by the split test and remembered.
+# Edge length below which a contraction is attempted. Eager on purpose: a
+# wrong attempt is caught by the split test and remembered.
 _CONTRACT_TRIGGER = 2e-2
 # Reweighted steps a search node's dual certificate runs from its warm start
 # before the least-squares correction; 3 to 8 cost a solve alike.
@@ -55,8 +55,8 @@ _CERTIFY_STEPS = 4
 class OptimizeResult:
     """Outcome of a fixed-topology minimization.
 
-    ``collapsed_edges`` lists edges whose final length is at or below the
-    coincidence threshold; the optimum then lives on the boundary where
+    ``collapsed_edges`` lists edges no longer than 1e-9 of the terminals'
+    bounding-box diagonal; the optimum then lives on the boundary where
     those nodes merge. When that happens ``gradient_norm`` is the
     first-order optimality residual of the merged (reduced) network, since
     the smooth gradient is undefined at coincident nodes.
@@ -112,9 +112,26 @@ def full_topology(n: int, k: int, edges_T=frozenset(), edges_TS=frozenset(), edg
     return topology
 
 
-def _points_array(points) -> np.ndarray:
-    seq = [(p.x, p.y) if isinstance(p, Point2) else p for p in points]
-    return np.asarray(seq, dtype=float).reshape(len(seq), 2)
+def _points_array(points, name: str) -> np.ndarray:
+    arr = np.asarray([(p.x, p.y) if isinstance(p, Point2) else p for p in points], dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"{name} must be an (m, 2) array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The terminals centred on their bounding box and scaled to a unit diagonal, with that centre and scale.
+
+    The solver runs in this frame, so the length constants above are relative
+    to the instance and rounding does not grow with its distance from the
+    origin. Returned trees map back as s * scale + centre.
+    """
+    low, high = t.min(axis=0), t.max(axis=0)
+    centre = 0.5 * (low + high)
+    scale = float(np.hypot(*(high - low))) or 1.0  # all terminals coincident: any scale will do
+    return (t - centre) / scale, centre, scale
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +266,7 @@ def _split_improves(A: np.ndarray, c: np.ndarray, s: np.ndarray, row: int) -> bo
     return False
 
 
-def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, budget: int, scale: float):
+def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, budget: int):
     """Returns (positions, optimality residual, iterations used, converged)."""
     nfree = A.shape[1]
     if nfree == 0:
@@ -268,11 +285,11 @@ def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, bud
         if gnorm < grad_tol:
             return s, gnorm, it, True
         shortest = int(np.argmin(np.where(contractible, d, math.inf)))
-        if d[shortest] < _CONTRACT_TRIGGER * scale and (
+        if d[shortest] < _CONTRACT_TRIGGER and (
             shortest not in rejected or d[shortest] < 0.3 * rejected[shortest]
         ):
             A_child, c_child, s_child, rebuild = _contract(A, c, s, shortest)
-            cs, cg, used, conv = _minimize(A_child, c_child, s_child, grad_tol, budget - it, scale)
+            cs, cg, used, conv = _minimize(A_child, c_child, s_child, grad_tol, budget - it)
             it += used
             if conv:
                 composed = rebuild(cs)
@@ -282,7 +299,7 @@ def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, bud
             continue
         if newton_cooldown > 0:
             newton_cooldown -= 1
-        elif it >= 2 and float(d.min()) > 1e-7 * scale:
+        elif it >= 2 and float(d.min()) > 1e-7:
             s, gnorm, used, ok = _newton(A, c, s, grad_tol, min(30, budget - it))
             it += used
             if ok:
@@ -292,8 +309,8 @@ def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, bud
     return s, gnorm, it, False
 
 
-def _dual_bound(A: np.ndarray, c: np.ndarray, s0: np.ndarray, scale: float) -> float:
-    """A certified lower bound on min_s Σₑ‖A s + c‖ₑ after a few reweighted steps from ``s0``.
+def _dual_bound(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> float:
+    """A certified lower bound on min_s Σₑ‖A s + c‖ₑ after a few reweighted steps from ``s``.
 
     Weak duality (G. Xue & Y. Ye, SIAM J. Optim. 7, 1997): for any w with
     ‖wₑ‖ <= 1, Σₑ‖uₑ(s*)‖ >= Σₑ wₑ·uₑ(s) + (Aᵀw)·(s* - s). The unit edge
@@ -301,26 +318,15 @@ def _dual_bound(A: np.ndarray, c: np.ndarray, s0: np.ndarray, scale: float) -> f
     reweighting's weights 1/dₑ, are the next iterate's edge vectors over the
     current lengths, so the correction costs one more reweighted solve.
     Scaling w as a whole into the unit balls keeps Aᵀw = 0 up to rounding;
-    the last term is at most ‖Aᵀw‖·√k·scale because a reweighted iterate and
-    an optimum both lie in the terminals' convex hull. The steps run in a
-    frame centred on the start and the sum runs over edge vectors, so
-    rounding scales with the instance, not with its distance from the
-    origin.
+    the last term is at most ‖Aᵀw‖·√k because a reweighted iterate and an
+    optimum both lie in the terminals' convex hull, of diameter at most 1.
     """
-    centre = s0.mean(axis=0)
-    c = c + A.sum(axis=1)[:, None] * centre  # the terminals' rows, shifted by -centre
-    s = s0 - centre
     for _ in range(_CERTIFY_STEPS + 1):
         d, s = _smooth_lengths(A @ s + c), _irls_step(A, c, s)
     u = A @ s + c
     w = u / d[:, None]
     w /= max(1.0, float(np.hypot(w[:, 0], w[:, 1]).max()))
-    return float((w * u).sum()) - float(np.linalg.norm(A.T @ w)) * math.sqrt(A.shape[1]) * scale
-
-
-def _instance_scale(t: np.ndarray) -> float:
-    span = t.max(axis=0) - t.min(axis=0)
-    return max(float(np.hypot(span[0], span[1])), 1e-9)
+    return float((w * u).sum()) - float(np.linalg.norm(A.T @ w)) * math.sqrt(A.shape[1])
 
 
 def optimize_fixed_topology(
@@ -337,7 +343,8 @@ def optimize_fixed_topology(
     optimum are reported through ``collapsed_edges`` rather than hidden.
 
     Raises:
-        ValueError: invalid topology, nonpositive tolerance, or an initial
+        ValueError: invalid topology, nonpositive tolerance, terminals or
+            initial positions not a finite (m, 2) array, or an initial
             position count that does not match the topology.
     """
     if grad_tol <= 0:
@@ -345,22 +352,21 @@ def optimize_fixed_topology(
     validation = validate_topology(topology)
     if not validation.ok:
         raise ValueError("invalid topology: " + "; ".join(validation.violations))
-    t = _points_array(terminals)
+    t = _points_array(terminals, "terminals")
     if t.shape[0] != topology.n:
         raise ValueError(f"expected {topology.n} terminals, got {t.shape[0]}")
-    s0 = _points_array(initial_s) if topology.k else np.zeros((0, 2))
+    s0 = _points_array(initial_s, "initial positions") if topology.k else np.zeros((0, 2))
     if s0.shape[0] != topology.k:
         raise ValueError(f"expected {topology.k} initial steiner positions, got {s0.shape[0]}")
 
-    A, c = _network(t, topology.k, topology.plan.node_pairs())
-    s, gnorm, iters, converged = _minimize(A, c, s0, grad_tol, max_iterations, _instance_scale(t))
-    tree = SteinerTree.from_arrays(topology, t, s)
-    lengths = edge_vectors(tree)[1]
-    steiner_edges = topology.plan.steiner_edges
-    refs = topology.plan.refs[steiner_edges]
-    collapsed = [ref for ref, d in zip(refs, lengths[steiner_edges]) if d <= _COLLAPSE_LEN]
+    tf, centre, scale = _frame(t)
+    A, c = _network(tf, topology.k, topology.plan.node_pairs())
+    s, gnorm, iters, converged = _minimize(A, c, (s0 - centre) / scale, grad_tol, max_iterations)
+    u = A @ s + c
+    refs = topology.plan.refs[topology.plan.steiner_edges]  # the network's rows
+    collapsed = [ref for ref, d in zip(refs, np.hypot(u[:, 0], u[:, 1])) if d <= _COLLAPSE_LEN]
     return OptimizeResult(
-        tree=tree,
+        tree=SteinerTree.from_arrays(topology, t, s * scale + centre),
         gradient_norm=gnorm,
         iterations=iters,
         collapsed_edges=frozenset(collapsed),
@@ -452,12 +458,12 @@ def compare_topologies(a: SteinerTopology, b: SteinerTopology) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _seed_positions(A: np.ndarray, c: np.ndarray, scale: float, salt: int) -> np.ndarray:
+def _seed_positions(A: np.ndarray, c: np.ndarray, salt: int) -> np.ndarray:
     """Deterministic start: each Steiner point at the (unit-weight) average of
     its neighbors, plus a small seeded jitter to break symmetric degeneracies."""
     base = np.linalg.solve(A.T @ A, -(A.T @ c))
     rng = np.random.default_rng(0x5EED + salt)
-    return base + rng.normal(scale=1e-3 * scale, size=base.shape)
+    return base + rng.normal(scale=1e-3, size=base.shape)
 
 
 def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree | None:
@@ -552,12 +558,11 @@ class _Search:
     Nodes of the search are edge lists of node pairs: terminal ``j`` is
     ``j`` and the Steiner point added with the terminal inserted ``j``-th is
     ``n + j - 2``, so the Steiner point's index is its column in the network
-    and its row in the positions.
+    and its row in the positions. Everything is in the frame of :func:`_frame`.
     """
 
     t: np.ndarray
     order: list[int]
-    scale: float
     grad_tol: float
     max_iterations: int
     incumbent: float
@@ -583,7 +588,7 @@ class _Search:
             start = np.vstack((s, sum(ends) / 3.0))
             A, c = _network(self.t, len(start), grown)
             # a child whose dual bound clears the cut is ruled out without a minimization
-            if _dual_bound(A, c, start, self.scale) > self.cut():
+            if _dual_bound(A, c, start) > self.cut():
                 self.certified += 1
                 self.pruned += below
             elif m + 1 == n:
@@ -615,7 +620,7 @@ class _Search:
 
     def bound(self, A: np.ndarray, c: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray, bool]:
         """Optimal length of a partial topology's network on its own terminals, warm-started."""
-        s, _, _, converged = _minimize(A, c, start, self.grad_tol, self.max_iterations, self.scale)
+        s, _, _, converged = _minimize(A, c, start, self.grad_tol, self.max_iterations)
         self.bounded += 1
         u = A @ s + c
         return float(np.hypot(u[:, 0], u[:, 1]).sum()), s, converged
@@ -627,8 +632,7 @@ class _Search:
         i = _full_topology_index(n)[_encode(n, n - 2, edges)]
         topo = _full_topologies(n)[i]
         A, c = _network(self.t, n - 2, topo.plan.node_pairs())
-        s0 = _seed_positions(A, c, self.scale, i)
-        s, _, _, converged = _minimize(A, c, s0, self.grad_tol, self.max_iterations, self.scale)
+        s, _, _, converged = _minimize(A, c, _seed_positions(A, c, i), self.grad_tol, self.max_iterations)
         self.minimized += 1
         if not converged:
             self.unconverged += 1
@@ -656,11 +660,12 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
     every full topology.
 
     Raises:
-        ValueError: terminal count out of range or coincident terminals.
+        ValueError: terminals not a finite (m, 2) array, terminal count
+            out of range, or coincident terminals.
         ConvergenceError: no topology's optimum converged to a valid tree,
             or the winner fails its own validity checks.
     """
-    t = _points_array(terminals)
+    t = _points_array(terminals, "terminals")
     n = t.shape[0]
     if not 2 <= n <= 6:
         raise ValueError(f"terminal count must be between 2 and 6, got {n}")
@@ -675,10 +680,11 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
         tree = SteinerTree.from_arrays(topo, t, np.zeros((0, 2)))
         return ExactSolveResult(tree=tree, length=tree_length(tree), ties=(tree,))
 
+    tf, centre, scale = _frame(t)
     order = _insertion_order(d)
-    search = _Search(t, order, _instance_scale(t), grad_tol, max_iterations, incumbent=_mst_length(d))
+    search = _Search(tf, order, grad_tol, max_iterations, incumbent=_mst_length(d) / scale)
     # the three-terminal root is never pruned, so it is never minimized
-    search.visit([(order[0], n), (order[1], n), (order[2], n)], t[order[:3]].mean(axis=0, keepdims=True))
+    search.visit([(order[0], n), (order[1], n), (order[2], n)], tf[order[:3]].mean(axis=0, keepdims=True))
 
     if not search.candidates:
         raise ConvergenceError("no topology produced a valid optimum")
@@ -693,10 +699,11 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
     report = check_geometric_conditions(winner, angle_tol=1e-6)
     if not (validate_topology(winner.topology).ok and report.satisfies_angle_condition):
         raise ConvergenceError("exact solve produced a tree failing its own validity checks")
+    ties = tuple(SteinerTree.from_arrays(tr.topology, t, tr.steiner_positions * scale + centre) for *_, tr in deduped)
     return ExactSolveResult(
-        tree=winner,
-        length=deduped[0][1],
-        ties=tuple(tr for _, _, _, tr in deduped),
+        tree=ties[0],
+        length=tree_length(ties[0]),
+        ties=ties,
         minimized=search.minimized,
         bounded=search.bounded,
         pruned=search.pruned,

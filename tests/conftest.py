@@ -244,22 +244,24 @@ def exhaustive_solve(terminals, grad_tol: float = 1e-10, max_iterations: int = 5
     Each topology is minimized from its seeded cold start, with its
     enumeration index as the seed's salt, and node coincidences are merged;
     the shortest candidate wins and every candidate within the 1e-9
-    relative tie tolerance is a tie, one per canonical encoding. The
+    relative tie tolerance is a tie, one per canonical encoding. All of it
+    runs in the solver's frame (``exact._frame``), and the ties are mapped
+    back onto the given terminals as ``s * scale + centre``. The
     branch-and-bound solve must return the same result bit for bit.
     """
     t = np.asarray(terminals, dtype=float)
     n = len(t)
-    scale = exact._instance_scale(t)
+    tf, centre, scale = exact._frame(t)
     candidates: list[tuple[float, SteinerTree]] = []
     unconverged = 0
     for salt, topo in enumerate(enumerate_full_topologies(n)):
-        A, c = exact._network(t, topo.k, topo.plan.node_pairs())
-        s0 = exact._seed_positions(A, c, scale, salt)
-        s, _, _, converged = exact._minimize(A, c, s0, grad_tol, max_iterations, scale)
+        A, c = exact._network(tf, topo.k, topo.plan.node_pairs())
+        s0 = exact._seed_positions(A, c, salt)
+        s, _, _, converged = exact._minimize(A, c, s0, grad_tol, max_iterations)
         if not converged:
             unconverged += 1
             continue
-        full_tree = SteinerTree.from_arrays(topo, t, s)
+        full_tree = SteinerTree.from_arrays(topo, tf, s)
         lengths = edge_vectors(full_tree)[1]
         if lengths.min() <= exact._COLLAPSE_LEN:
             reduced = exact._contract_collapsed(full_tree, lengths)
@@ -275,10 +277,11 @@ def exhaustive_solve(terminals, grad_tol: float = 1e-10, max_iterations: int = 5
         key=lambda item: (item[0], item[1]),
     )
     deduped = [item for i, item in enumerate(pool) if i == 0 or pool[i - 1][0] != item[0]]
+    ties = tuple(SteinerTree.from_arrays(tr.topology, t, tr.steiner_positions * scale + centre) for _, _, tr in deduped)
     return ExactSolveResult(
-        tree=deduped[0][2],
-        length=deduped[0][1],
-        ties=tuple(tr for _, _, tr in deduped),
+        tree=ties[0],
+        length=tree_length(ties[0]),
+        ties=ties,
         minimized=len(enumerate_full_topologies(n)),
         unconverged=unconverged,
     )

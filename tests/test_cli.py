@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from steineradapt import ConvergenceError, exact
+from steineradapt import ConvergenceError, cli, exact
 from steineradapt.cli import run_cli
 from steineradapt.documents import decode_instance, decode_report
 from steineradapt.trees import GeometricConditionReport
@@ -258,3 +258,21 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self):
         assert run_cli(["solve", "--out", "x.json"]) == 3
+
+
+class TestParserReuse:
+    def test_two_calls_construct_one_parser(self, monkeypatch, example1_file):
+        cli._parser.cache_clear()
+        progs = []
+        construct = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        assert run_cli(["check", "--instance", example1_file, "--angle-tol", "0.01"]) == 0
+        assert run_cli(["compare", "--a", example1_file, "--b", example1_file]) == 0
+        assert run_cli(["frobnicate"]) == 3
+        # each subcommand's parser is a _Parser too, named after the program and the command
+        assert progs.count("steineradapt") == 1

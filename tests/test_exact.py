@@ -235,6 +235,81 @@ class TestSolveExact:
         assert a.tree == b.tree
 
 
+class TestMalformedInput:
+    """Terminals and starting positions that are not a finite (m, 2) array are
+    a bad input, reported as such before any solving."""
+
+    @pytest.mark.parametrize(
+        "terminals,message",
+        [
+            ([(0.0, 0.0), (1.0, math.nan), (0.0, 1.0)], "terminals must be finite"),
+            ([(0.0, 0.0), (1.0, math.inf), (0.0, 1.0)], "terminals must be finite"),
+            ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], r"terminals must be an \(m, 2\) array, got shape \(3, 3\)"),
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], r"terminals must be an \(m, 2\) array, got shape \(6,\)"),
+        ],
+        ids=["nan", "inf", "three columns", "flat"],
+    )
+    def test_solve_exact_names_the_problem(self, terminals, message):
+        with pytest.raises(ValueError, match=message):
+            solve_exact(terminals)
+
+    @pytest.mark.parametrize(
+        "terminals,start,message",
+        [
+            ([(0.0, 0.0), (1.0, math.nan), (0.0, 1.0)], [(0.3, 0.3)], "terminals must be finite"),
+            ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)], [(0.3, 0.3)], r"terminals must be an \(m, 2\) array"),
+            (EXAMPLE1_TERMINALS, [(0.3, math.inf)], "initial positions must be finite"),
+            (EXAMPLE1_TERMINALS, [(0.3, 0.3, 0.3)], r"initial positions must be an \(m, 2\) array"),
+        ],
+        ids=["nan terminal", "three-column terminals", "inf start", "three-column start"],
+    )
+    def test_optimize_fixed_topology_names_the_problem(self, terminals, start, message):
+        with pytest.raises(ValueError, match=message):
+            optimize_fixed_topology(terminals, star3(), start)
+
+
+def offset_sets() -> list[np.ndarray]:
+    """The 40 uniform n = 6 sets offset by 1e4 at the end of the degenerate
+    corpus of ``tools/exact_digest.py``, drawn from the same stream."""
+    rng = np.random.default_rng(6006)
+    for _ in range(30):  # the nearly collinear sets
+        rng.uniform(0.0, 1.0, 6), rng.uniform(-1e-3, 1e-3, 6)
+    for clusters in (2, 3):  # the clustered sets
+        for _ in range(15):
+            rng.uniform(0.0, 1.0, (clusters, 2)), rng.normal(0.0, 1e-3, (6, 2))
+    return [rng.uniform(0.0, 1.0, (6, 2)) + 1e4 for _ in range(40)]
+
+
+class TestTranslationInvariance:
+    """The solver works in a frame centred on the terminals, so an instance far
+    from the origin solves like the same instance moved to it."""
+
+    @pytest.mark.parametrize("which", [3, 30, 36])
+    def test_offset_sets_solve_like_the_sets_at_the_origin(self, which):
+        # the hardest sets to solve in absolute coordinates: there 4 and 31 leave 3 and 6 topologies
+        # unconverged, and 37 fails its validity checks
+        terminals = offset_sets()[which]
+        result, origin = solve_exact(terminals), solve_exact(terminals - 1e4)
+        assert result.unconverged == 0
+        assert [canonical_encoding(tie.topology) for tie in result.ties] == [
+            canonical_encoding(tie.topology) for tie in origin.ties
+        ]
+        assert result.length == pytest.approx(origin.length, rel=1e-12, abs=0.0)
+        assert np.array_equal(result.tree.terminal_positions, terminals)  # the caller's own terminals
+
+    def test_offset_fixed_topology_converges_like_the_one_at_the_origin(self):
+        # in absolute coordinates this run spends its whole budget unconverged
+        rng = np.random.default_rng(1)
+        terminals = rng.uniform(0.0, 1.0, (6, 2))
+        start = rng.uniform(0.2, 0.8, (105, 4, 2))[2]
+        topology = enumerate_full_topologies(6)[2]
+        result = optimize_fixed_topology(terminals + 1e4, topology, start + 1e4)
+        origin = optimize_fixed_topology(terminals, topology, start)
+        assert result.converged and origin.converged
+        assert result.collapsed_edges == origin.collapsed_edges
+        assert np.abs(result.tree.steiner_positions - 1e4 - origin.tree.steiner_positions).max() <= 1e-11
+
+
 class TestNetworkContraction:
     def test_crossing_square_merges_both_steiner_points(self):
         # each Steiner point joins two opposite corners, so the optimum merges
@@ -530,14 +605,15 @@ class TestDualCertificate:
         topologies = enumerate_full_topologies(m)
         topology = topologies[int(rng.integers(len(topologies)))]
         label = np.concatenate((joined, n + np.arange(m - 2)))
-        A, c = exact._network(t, m - 2, [(int(label[p]), int(label[q])) for p, q in topology.plan.node_pairs()])
+        tf, centre, scale = exact._frame(t)
+        A, c = exact._network(tf, m - 2, [(int(label[p]), int(label[q])) for p, q in topology.plan.node_pairs()])
         low, high = t.min(axis=0), t.max(axis=0)
         start = rng.uniform(2 * low - high, 2 * high - low, (m - 2, 2))
         start[rng.random(m - 2) < 0.3] = t[joined[0]]  # some start on a terminal, at the smoothing floor
-        bound = exact._dual_bound(A, c, start, exact._instance_scale(t))
+        bound = exact._dual_bound(A, c, (start - centre) / scale)
         # any tree of the topology is at least the optimum, converged or not
         tree = optimize_fixed_topology(t[joined], topology, start, max_iterations=2000).tree
-        assert bound <= tree_length(tree) + 1e-12
+        assert bound * scale <= tree_length(tree) + 1e-12
 
     def test_tight_at_smooth_optima(self):
         # converged minimizations on uniform terminals, and 120-degree grown
@@ -556,12 +632,12 @@ class TestDualCertificate:
             optima += [tree, SteinerTree.from_arrays(tree.topology, tree.terminal_positions + 1e4, tree.steiner_positions + 1e4)]
         checked = 0
         for tree in optima:
-            t = tree.terminal_positions
-            scale = exact._instance_scale(t)
+            tf, centre, scale = exact._frame(tree.terminal_positions)
             if exact.edge_vectors(tree)[1].min() < 1e-3 * scale:
                 continue
-            A, c = exact._network(t, tree.k, tree.topology.plan.node_pairs())
-            bound, length = exact._dual_bound(A, c, tree.steiner_positions, scale), tree_length(tree)
+            A, c = exact._network(tf, tree.k, tree.topology.plan.node_pairs())
+            bound = exact._dual_bound(A, c, (tree.steiner_positions - centre) / scale) * scale
+            length = tree_length(tree)
             assert length - 1e-9 * length <= bound <= length + 1e-12
             checked += 1
         assert checked >= 30

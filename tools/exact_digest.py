@@ -4,29 +4,35 @@ Usage (from the root of any checkout):
 
     python3 tools/exact_digest.py
 
-The script imports the ``src/`` next to it and prints one SHA-256 digest per
-corpus over every byte of every result. Two checkouts whose solvers agree
-bitwise print the same digests; a single differing bit changes them.
+The script imports the ``src/`` next to it and prints two SHA-256 digests
+per corpus. The first covers every byte of every result: two checkouts
+whose solvers agree bitwise print the same one, and a single differing bit
+changes it. The second, the combinatorial digest, covers only the discrete
+outcome: which topologies win and tie, and how each minimization went. A
+change that moves only low bits leaves it equal, so it is the tolerance
+oracle for such a change.
 
 - ``solve_exact``: criterion 6's 1000 instances (``default_rng(7003)``, 400,
   300, 200 and 100 uniform instances at n = 3, 4, 5, 6), then the unit
   square, the regular pentagon and hexagon (co-optimal ties) and a nearly
   collinear triangle. Hashed: the length, and every tie's edge sets and
-  Steiner-position bytes.
+  Steiner-position bytes. Combinatorial: every tie's canonical encoding.
 - ``solve_exact degenerate``: n = 6 inputs that strain the solver's
   tolerances: 30 nearly collinear sets, 30 sets in two or three tight
-  clusters, 20 lattice patches with co-optimal ties, 10 uniform sets offset
+  clusters, 20 lattice patches with co-optimal ties, 40 uniform sets offset
   by 1e4, and the regular hexagon. Hashed like ``solve_exact``.
 - ``optimize_fixed_topology``: 60 runs on uniform instances with a random
   full topology and a random start, then the crossing topology on the unit
   square, whose optimum merges two free Steiner points. Hashed: the
   positions, ``gradient_norm``, ``iterations``, ``collapsed_edges`` and
-  ``converged``.
+  ``converged``. Combinatorial: ``iterations``, ``converged`` and
+  ``collapsed_edges``.
 
-A solve that raises is hashed by its exception's type and message. After
-each solve corpus's digest the script prints the search's summed
-``minimized``, ``bounded``, ``pruned``, ``unconverged`` and ``certified``
-counts and the corpus's wall time; they stay outside the hash.
+A solve that raises is hashed, in both digests, by its exception's type and
+message. After each solve corpus's digests the script prints the search's
+summed ``minimized``, ``bounded``, ``pruned``, ``unconverged`` and
+``certified`` counts and the corpus's wall time; they stay outside the
+hashes.
 """
 
 import hashlib
@@ -42,7 +48,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from steineradapt import SteinerTopology, enumerate_full_topologies, optimize_fixed_topology, solve_exact  # noqa: E402
+from steineradapt import (  # noqa: E402
+    SteinerTopology,
+    canonical_encoding,
+    enumerate_full_topologies,
+    optimize_fixed_topology,
+    solve_exact,
+)
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -72,7 +84,7 @@ def degenerate_instances() -> list:
                               (1.0, math.sqrt(3) / 2, 0.5), (1.0, 1.0, 0.5), (2.0, 1.0, 0.0), (1.0, 0.1, 0.0),
                               (0.3, 1.0, 0.15))
     ]
-    offset = [rng.uniform(0.0, 1.0, (6, 2)) + 1e4 for _ in range(10)]
+    offset = [rng.uniform(0.0, 1.0, (6, 2)) + 1e4 for _ in range(40)]
     return collinear + clustered + lattice + offset + [regular_polygon(6)]
 
 
@@ -95,8 +107,8 @@ def edge_bytes(topology: SteinerTopology) -> bytes:
 WORK = ("minimized", "bounded", "pruned", "unconverged", "certified")
 
 
-def solve_digest(instances: list) -> tuple[int, str, str]:
-    digest = hashlib.sha256()
+def solve_digest(instances: list) -> tuple[int, str, str, str]:
+    digest, combinatorial = hashlib.sha256(), hashlib.sha256()
     work = dict.fromkeys(WORK, 0)
     start = time.perf_counter()
     for terminals in instances:
@@ -104,6 +116,7 @@ def solve_digest(instances: list) -> tuple[int, str, str]:
             result = solve_exact(terminals)
         except (ValueError, RuntimeError) as error:
             digest.update(repr(error).encode())
+            combinatorial.update(repr(error).encode())
             continue
         for name in WORK:
             work[name] += getattr(result, name)
@@ -111,19 +124,23 @@ def solve_digest(instances: list) -> tuple[int, str, str]:
         for tie in result.ties:
             digest.update(edge_bytes(tie.topology))
             digest.update(tie.steiner_positions.tobytes())
+        combinatorial.update(repr([canonical_encoding(tie.topology) for tie in result.ties]).encode())
     summary = " ".join(f"{name} {count}" for name, count in work.items())
-    return len(instances), digest.hexdigest(), f"{summary} in {time.perf_counter() - start:.1f} s"
+    return len(instances), digest.hexdigest(), combinatorial.hexdigest(), f"{summary} in {time.perf_counter() - start:.1f} s"
 
 
-def optimize_digest() -> tuple[int, str, None]:
-    digest = hashlib.sha256()
+def optimize_digest() -> tuple[int, str, str, None]:
+    digest, combinatorial = hashlib.sha256(), hashlib.sha256()
     runs = optimize_runs()
     for terminals, topology, start in runs:
         result = optimize_fixed_topology(terminals, topology, start)
+        collapsed = repr(sorted((str(a), str(b)) for a, b in result.collapsed_edges)).encode()
         digest.update(result.tree.steiner_positions.tobytes())
         digest.update(struct.pack("<dq?", result.gradient_norm, result.iterations, result.converged))
-        digest.update(repr(sorted((str(a), str(b)) for a, b in result.collapsed_edges)).encode())
-    return len(runs), digest.hexdigest(), None
+        digest.update(collapsed)
+        combinatorial.update(struct.pack("<q?", result.iterations, result.converged))
+        combinatorial.update(collapsed)
+    return len(runs), digest.hexdigest(), combinatorial.hexdigest(), None
 
 
 def main() -> None:
@@ -133,8 +150,9 @@ def main() -> None:
         ("optimize_fixed_topology", optimize_digest),
     )
     for name, compute in corpora:
-        count, hexdigest, summary = compute()
+        count, hexdigest, combinatorial, summary = compute()
         print(f"{name:<24} {count:>5} results  sha256 {hexdigest}")
+        print(f"{'':<24} combinatorial  sha256 {combinatorial}")
         if summary:
             print(f"{'':<24} {summary}", flush=True)
 
