@@ -78,12 +78,14 @@ class ExactSolveResult:
     ``ties`` means the optimum is unique.
 
     The search counts its work: ``minimized`` full topologies were
-    optimized, ``bounded`` partial topologies were optimized for a lower
-    bound, ``pruned`` full topologies were skipped because a bound ruled
-    them out, and ``unconverged`` of the minimized ones were dropped
-    because their optimization did not converge. ``certified`` search
-    nodes, partial or full, were pruned by a dual lower bound without being
-    minimized; their full topologies count in ``pruned``. For n >= 3,
+    optimized, ``bounded`` partial topologies were optimized from a cold
+    start for a lower bound, ``pruned`` full topologies were skipped because
+    a bound ruled them out, and ``unconverged`` of the minimized ones were
+    dropped because their optimization did not converge. ``certified``
+    search nodes, partial or full, were ruled out by a dual lower bound,
+    before or during their minimization; their full topologies count in
+    ``pruned``, never in ``minimized``, and a partial one stopped during its
+    minimization still counts in ``bounded``. For n >= 3,
     ``minimized + pruned`` is the number of full topologies, (2n - 5)!!;
     for n = 2 all five are 0.
     """
@@ -158,25 +160,26 @@ def _network(t: np.ndarray, k: int, pairs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _smooth_lengths(u: np.ndarray) -> np.ndarray:
-    return np.sqrt((u * u).sum(axis=1) + _SMOOTH_EPS * _SMOOTH_EPS)
+    return np.sqrt((u * u).sum(axis=-1) + _SMOOTH_EPS * _SMOOTH_EPS)
 
 
 def _gradient(A: np.ndarray, c: np.ndarray, s: np.ndarray):
     u = A @ s + c
     d = _smooth_lengths(u)
     g = A.T @ (u / d[:, None])
-    return g, float(np.linalg.norm(g)), d
+    return g, float(np.linalg.norm(g)), u, d
 
 
-def _irls_step(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    u = A @ s + c
-    w = 1.0 / _smooth_lengths(u)
-    m = A.T @ (A * w[:, None])
-    rhs = -(A.T @ (c * w[:, None]))
+def _irls_step(A: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The positions minimizing Σₑ‖uₑ‖²/dₑ, for one network or stacked ones."""
+    w = 1.0 / d
+    At = np.swapaxes(A, -1, -2)
+    m = At @ (A * w[..., None])
+    rhs = -(At @ (c * w[..., None]))
     try:
         return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(m, rhs, rcond=None)[0]
+        return np.linalg.pinv(m) @ rhs
 
 
 def _hessian(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -190,7 +193,7 @@ def _hessian(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _newton(A, c, s, grad_tol, max_steps):
     """Polish with damped Newton steps, accepting on gradient-norm decrease."""
-    g, gnorm, _ = _gradient(A, c, s)
+    g, gnorm, *_ = _gradient(A, c, s)
     steps = 0
     while steps < max_steps:
         if gnorm < grad_tol:
@@ -204,7 +207,7 @@ def _newton(A, c, s, grad_tol, max_steps):
         improved = False
         for _ in range(10):
             s_try = s + lam * delta
-            g_try, gnorm_try, _ = _gradient(A, c, s_try)
+            g_try, gnorm_try, *_ = _gradient(A, c, s_try)
             if gnorm_try < gnorm * (1.0 - 0.25 * lam) or gnorm_try < grad_tol:
                 s, g, gnorm = s_try, g_try, gnorm_try
                 improved = True
@@ -266,24 +269,29 @@ def _split_improves(A: np.ndarray, c: np.ndarray, s: np.ndarray, row: int) -> bo
     return False
 
 
-def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, budget: int):
-    """Returns (positions, optimality residual, iterations used, converged)."""
+def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, budget: int, cut: float = math.inf):
+    """Returns (positions, optimality residual, iterations used, converged); the positions
+    are None once a reweighted step's :func:`_weak_dual` bound clears ``cut``. Contracted
+    children get no cut: their bounds are not bounds on this network."""
     nfree = A.shape[1]
     if nfree == 0:
         return np.zeros((0, 2)), 0.0, 0, True
     # edges between two fixed nodes are constants and can never be contracted
     contractible = np.abs(A).sum(axis=1) > 0
     s = np.asarray(s0, dtype=float).reshape(nfree, 2).copy()
+    d = _smooth_lengths(A @ s + c)
     it = 0
     gnorm = math.inf
     rejected: dict[int, float] = {}
     newton_cooldown = 0
     while it < budget:
-        s = _irls_step(A, c, s)
+        s, reweighted_by = _irls_step(A, c, d), d
         it += 1
-        _, gnorm, d = _gradient(A, c, s)
+        _, gnorm, u, d = _gradient(A, c, s)
         if gnorm < grad_tol:
             return s, gnorm, it, True
+        if cut < math.inf and _weak_dual(A, u, reweighted_by) > cut:
+            return None, gnorm, it, False
         shortest = int(np.argmin(np.where(contractible, d, math.inf)))
         if d[shortest] < _CONTRACT_TRIGGER and (
             shortest not in rejected or d[shortest] < 0.3 * rejected[shortest]
@@ -306,12 +314,24 @@ def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, bud
                 return s, gnorm, it, True
             # a failed burst means we are not yet in the Newton basin
             newton_cooldown = 4
+            d = _smooth_lengths(A @ s + c)
     return s, gnorm, it, False
 
 
-def _dual_bound(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> float:
-    """A certified lower bound on min_s Σₑ‖A s + c‖ₑ after a few reweighted steps from ``s``.
+def _weak_dual(A: np.ndarray, u: np.ndarray, d: np.ndarray):
+    """Σₑ wₑ·uₑ − ‖Aᵀw‖·√k per stacked network, for w = u/d scaled as a whole into the unit balls:
+    :func:`_dual_bound`'s certificate for a reweighted iterate's edge vectors u and the lengths d behind it."""
+    w = u / d[..., None]
+    w /= np.maximum(1.0, np.hypot(w[..., 0], w[..., 1]).max(axis=-1))[..., None, None]
+    slack = np.linalg.norm(np.swapaxes(A, -1, -2) @ w, axis=(-2, -1)) * math.sqrt(A.shape[-1])
+    return (w * u).sum(axis=(-2, -1)) - slack
 
+
+def _dual_bound(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Certified lower bounds on min_s Σₑ‖A s + c‖ₑ after a few reweighted steps from ``s``.
+
+    Takes B networks of one shape stacked, A as (B, E, k), c as (B, E, 2)
+    and s as (B, k, 2), and returns B bounds; unstacked arrays give one.
     Weak duality (G. Xue & Y. Ye, SIAM J. Optim. 7, 1997): for any w with
     ‖wₑ‖ <= 1, Σₑ‖uₑ(s*)‖ >= Σₑ wₑ·uₑ(s) + (Aᵀw)·(s* - s). The unit edge
     vectors at the iterate, corrected onto Aᵀw = 0 by least squares with the
@@ -322,11 +342,9 @@ def _dual_bound(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> float:
     optimum both lie in the terminals' convex hull, of diameter at most 1.
     """
     for _ in range(_CERTIFY_STEPS + 1):
-        d, s = _smooth_lengths(A @ s + c), _irls_step(A, c, s)
-    u = A @ s + c
-    w = u / d[:, None]
-    w /= max(1.0, float(np.hypot(w[:, 0], w[:, 1]).max()))
-    return float((w * u).sum()) - float(np.linalg.norm(A.T @ w)) * math.sqrt(A.shape[1])
+        d = _smooth_lengths(A @ s + c)
+        s = _irls_step(A, c, d)
+    return _weak_dual(A, A @ s + c, d)
 
 
 def optimize_fixed_topology(
@@ -581,47 +599,55 @@ class _Search:
             return
         fresh, term = n + m - 2, self.order[m]
         below = math.prod(2 * j - 3 for j in range(m + 1, n))  # full topologies under each child
+        grown = [edges[:pos] + edges[pos + 1 :] + [(a, fresh), (fresh, b), (term, fresh)] for pos, (a, b) in enumerate(edges)]
+        # every child's network has the same shape, so their certificates run stacked
+        A, c = map(np.stack, zip(*(_network(self.t, m - 1, pairs) for pairs in grown)))
+        starts = [np.vstack((s, sum(self.t[x] if x < n else s[x - n] for x in (a, b, term)) / 3.0)) for a, b in edges]
+        certificates = _dual_bound(A, c, np.stack(starts))
         children = []
-        for pos, (a, b) in enumerate(edges):
-            grown = edges[:pos] + edges[pos + 1 :] + [(a, fresh), (fresh, b), (term, fresh)]
-            ends = [self.t[x] if x < n else s[x - n] for x in (a, b, term)]
-            start = np.vstack((s, sum(ends) / 3.0))
-            A, c = _network(self.t, len(start), grown)
+        for pos, pairs in enumerate(grown):
             # a child whose dual bound clears the cut is ruled out without a minimization
-            if _dual_bound(A, c, start) > self.cut():
+            if certificates[pos] > self.cut():
                 self.certified += 1
                 self.pruned += below
             elif m + 1 == n:
-                self.leaf(grown)
+                self.leaf(pairs)
             else:
-                bound, s_child, converged = self.bound(A, c, start)
-                children.append((bound, pos, s_child, converged, grown))
+                bound, s_child, converged = self.bound(A[pos], c[pos])
+                if s_child is None:  # ruled out by its own dual bound while minimized
+                    self.certified += 1
+                    self.pruned += below
+                else:
+                    children.append((bound, pos, s_child, converged, pairs))
         children.sort(key=lambda child: child[:2])
-        for bound, _, s_child, converged, grown in children:
+        for bound, _, s_child, converged, pairs in children:
             if converged and bound > self.cut():
                 self.pruned += below
             else:
-                self.visit(grown, s_child)
+                self.visit(pairs, s_child)
 
     def cut(self) -> float:
         """The length above which a lower bound rules out a subtree.
 
-        A bound is a node's converged optimum or its dual certificate, never
-        above the node's optimum. A full topology's optimum is at least its
-        ancestors' optima: deleting a leaf terminal and suppressing its
-        Steiner point never lengthens a tree. A candidate's reduced length
-        leaves out its collapsed edges, at most 2n - 3 of at most
-        _COLLAPSE_LEN each, and the incumbent never falls below the final
-        best. So every topology whose candidate lands within best + tie_tol
-        has all its bounds at or below this cut and is reached; ``ties``
-        stays complete and the winner is the exhaustive solve's.
+        A bound is a node's converged optimum or a dual bound from before or
+        during its minimization, never above the node's optimum. A full
+        topology's optimum is at least its ancestors' optima: deleting a leaf
+        terminal and suppressing its Steiner point never lengthens a tree.
+        A candidate's reduced length leaves out its collapsed edges, at most
+        2n - 3 of at most _COLLAPSE_LEN each, and the incumbent never falls
+        below the final best. So every topology whose candidate lands within
+        best + tie_tol has all its bounds at or below this cut and is
+        reached; ``ties`` stays complete and the winner is the exhaustive solve's.
         """
         return self.incumbent + 1e-9 * max(1.0, self.incumbent) + (2 * len(self.t) - 3) * _COLLAPSE_LEN
 
-    def bound(self, A: np.ndarray, c: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray, bool]:
-        """Optimal length of a partial topology's network on its own terminals, warm-started."""
-        s, _, _, converged = _minimize(A, c, start, self.grad_tol, self.max_iterations)
+    def bound(self, A: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray | None, bool]:
+        """Optimal length of a partial topology's network on its own terminals, cold-started;
+        no positions when the minimization's own dual bound clears the cut."""
+        s, _, _, converged = _minimize(A, c, _seed_positions(A, c, 0), self.grad_tol, self.max_iterations, self.cut())
         self.bounded += 1
+        if s is None:
+            return math.inf, None, False
         u = A @ s + c
         return float(np.hypot(u[:, 0], u[:, 1]).sum()), s, converged
 
@@ -632,7 +658,11 @@ class _Search:
         i = _full_topology_index(n)[_encode(n, n - 2, edges)]
         topo = _full_topologies(n)[i]
         A, c = _network(self.t, n - 2, topo.plan.node_pairs())
-        s, _, _, converged = _minimize(A, c, _seed_positions(A, c, i), self.grad_tol, self.max_iterations)
+        s, _, _, converged = _minimize(A, c, _seed_positions(A, c, i), self.grad_tol, self.max_iterations, self.cut())
+        if s is None:
+            self.certified += 1
+            self.pruned += 1
+            return
         self.minimized += 1
         if not converged:
             self.unconverged += 1

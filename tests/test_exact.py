@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -585,28 +587,39 @@ def certificate_terminals(kind: str, n: int, rng: np.random.Generator) -> np.nda
     return rng.uniform(0.0, 1.0, (n, 2)) + (1e4 if kind == "offset" else 0.0)
 
 
+def random_network(kind: str, n: int, missing: int, rng: np.random.Generator):
+    """Terminals of ``kind``, a random full topology joining m = max(3, n - missing) of them
+    (a partial network when m < n, numbered as in the search) and its (A, c) in the solver's frame."""
+    t = certificate_terminals(kind, n, rng)
+    m = max(3, n - missing)
+    joined = rng.permutation(n)[:m]
+    topologies = enumerate_full_topologies(m)
+    topology = topologies[int(rng.integers(len(topologies)))]
+    label = np.concatenate((joined, n + np.arange(m - 2)))
+    pairs = [(int(label[p]), int(label[q])) for p, q in topology.plan.node_pairs()]
+    A, c = exact._network(exact._frame(t)[0], m - 2, pairs)
+    return t, joined, topology, A, c
+
+
+FAMILIES = st.sampled_from(["uniform", "collinear", "clustered", "offset"])
+
+
 class TestDualCertificate:
     """``exact._dual_bound`` is a lower bound on a network's optimal length
     wherever it starts, and tight at a smooth optimum."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        kind=st.sampled_from(["uniform", "collinear", "clustered", "offset"]),
+        kind=FAMILIES,
         n=st.integers(4, 6),
         missing=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_never_above_the_optimum(self, kind, n, missing, seed):
-        # a partial network joins m < n of the terminals, numbered as in the search
         rng = np.random.default_rng(seed)
-        t = certificate_terminals(kind, n, rng)
-        m = max(3, n - missing)
-        joined = rng.permutation(n)[:m]
-        topologies = enumerate_full_topologies(m)
-        topology = topologies[int(rng.integers(len(topologies)))]
-        label = np.concatenate((joined, n + np.arange(m - 2)))
-        tf, centre, scale = exact._frame(t)
-        A, c = exact._network(tf, m - 2, [(int(label[p]), int(label[q])) for p, q in topology.plan.node_pairs()])
+        t, joined, topology, A, c = random_network(kind, n, missing, rng)
+        m = len(joined)
+        _, centre, scale = exact._frame(t)
         low, high = t.min(axis=0), t.max(axis=0)
         start = rng.uniform(2 * low - high, 2 * high - low, (m - 2, 2))
         start[rng.random(m - 2) < 0.3] = t[joined[0]]  # some start on a terminal, at the smoothing floor
@@ -641,3 +654,81 @@ class TestDualCertificate:
             assert length - 1e-9 * length <= bound <= length + 1e-12
             checked += 1
         assert checked >= 30
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(kind=FAMILIES, n=st.integers(4, 6), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_children_match_single_calls_and_stay_below_their_optima(self, kind, n, seed):
+        # record every search node's stacked call: one network per child
+        calls = []
+
+        def recording(A, c, s):
+            bounds = dual_bound(A, c, s)
+            calls.append((A, c, s, bounds))
+            return bounds
+
+        dual_bound = exact._dual_bound
+        with mock.patch.object(exact, "_dual_bound", recording):
+            solve_exact(certificate_terminals(kind, n, np.random.default_rng(seed)))
+        assert calls
+        for A, c, s, bounds in calls:
+            assert A.ndim == 3 and len(A) == len(bounds) == 2 * A.shape[2] - 1  # 2m - 3 children of k = m - 1
+            singles = [exact._dual_bound(A[i], c[i], s[i]) for i in range(len(A))]
+            np.testing.assert_allclose(bounds, singles, rtol=1e-12, atol=0.0)
+            for child, bound in enumerate(bounds):
+                # any positions give at least the optimum, converged or not
+                start = exact._seed_positions(A[child], c[child], 0)
+                s_child = exact._minimize(A[child], c[child], start, 1e-10, 2000)[0]
+                u = A[child] @ s_child + c[child]
+                assert bound <= np.hypot(u[:, 0], u[:, 1]).sum() + 1e-12
+
+
+class TestMinimizeToTheCut:
+    """``exact._minimize`` with a cut stops only when its own dual bound proves
+    the optimum above the cut; otherwise it is the run without a cut, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=FAMILIES,
+        n=st.integers(4, 6),
+        missing=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        margin=st.floats(-0.05, 0.3),
+    )
+    def test_stops_only_above_the_optimum_and_otherwise_runs_unchanged(self, kind, n, missing, seed, margin):
+        rng = np.random.default_rng(seed)
+        *_, A, c = random_network(kind, n, missing, rng)
+        start = exact._seed_positions(A, c, int(rng.integers(1000)))
+        s, gnorm, iterations, converged = exact._minimize(A, c, start, 1e-10, 2000)
+        u = A @ s + c
+        length = float(np.hypot(u[:, 0], u[:, 1]).sum())  # the optimum when converged, never below it
+        cut = length * (1.0 - margin)
+        s_cut, gnorm_cut, iterations_cut, converged_cut = exact._minimize(A, c, start, 1e-10, 2000, cut)
+        if s_cut is None:
+            assert length > cut
+            assert iterations_cut <= iterations and not converged_cut
+        else:
+            assert s_cut.tobytes() == s.tobytes()
+            assert (gnorm_cut, iterations_cut, converged_cut) == (gnorm, iterations, converged)
+
+    def test_a_cut_below_the_optimum_stops_early(self):
+        t = np.random.default_rng(8).uniform(0.0, 1.0, (6, 2))
+        topology = enumerate_full_topologies(6)[50]
+        A, c = exact._network(exact._frame(t)[0], 4, topology.plan.node_pairs())
+        start = exact._seed_positions(A, c, 50)
+        s, _, iterations, converged = exact._minimize(A, c, start, 1e-10, 2000)
+        assert converged
+        u = A @ s + c
+        stopped = exact._minimize(A, c, start, 1e-10, 2000, 0.95 * np.hypot(u[:, 0], u[:, 1]).sum())
+        assert stopped[0] is None and stopped[2] < iterations
+
+
+class TestStalledDraws:
+    @pytest.mark.parametrize("draw", [276, 766])
+    def test_solves_within_half_a_second_and_equals_the_exhaustive_solve(self, draw):
+        # draws of the solve-n6 benchmark stream; draw 276 once took about 2 s,
+        # one warm-started partial bound running its whole 50,000-iteration budget
+        terminals = np.random.default_rng([1, 0]).uniform(0.0, 1.0, (4096, 6, 2))[draw]
+        start = time.perf_counter()
+        result = solve_exact(terminals)
+        assert time.perf_counter() - start < 0.5
+        assert_bitwise_equal(result, exhaustive_solve(terminals))

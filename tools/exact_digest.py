@@ -31,8 +31,9 @@ oracle for such a change.
 A solve that raises is hashed, in both digests, by its exception's type and
 message. After each solve corpus's digests the script prints the search's
 summed ``minimized``, ``bounded``, ``pruned``, ``unconverged`` and
-``certified`` counts and the corpus's wall time; they stay outside the
-hashes.
+``certified`` counts, the corpus's wall time and its slowest single solve
+(the input's index in the corpus and its seconds), so a stall shows without
+a profiler; they stay outside the hashes.
 """
 
 import hashlib
@@ -111,13 +112,17 @@ def solve_digest(instances: list) -> tuple[int, str, str, str]:
     digest, combinatorial = hashlib.sha256(), hashlib.sha256()
     work = dict.fromkeys(WORK, 0)
     start = time.perf_counter()
-    for terminals in instances:
+    slowest = (0.0, -1)
+    for index, terminals in enumerate(instances):
+        began = time.perf_counter()
         try:
             result = solve_exact(terminals)
         except (ValueError, RuntimeError) as error:
             digest.update(repr(error).encode())
             combinatorial.update(repr(error).encode())
             continue
+        finally:
+            slowest = max(slowest, (time.perf_counter() - began, index))
         for name in WORK:
             work[name] += getattr(result, name)
         digest.update(struct.pack("<d", result.length))
@@ -126,7 +131,8 @@ def solve_digest(instances: list) -> tuple[int, str, str, str]:
             digest.update(tie.steiner_positions.tobytes())
         combinatorial.update(repr([canonical_encoding(tie.topology) for tie in result.ties]).encode())
     summary = " ".join(f"{name} {count}" for name, count in work.items())
-    return len(instances), digest.hexdigest(), combinatorial.hexdigest(), f"{summary} in {time.perf_counter() - start:.1f} s"
+    wall = f"in {time.perf_counter() - start:.1f} s, slowest input {slowest[1]} in {slowest[0]:.3f} s"
+    return len(instances), digest.hexdigest(), combinatorial.hexdigest(), f"{summary} {wall}"
 
 
 def optimize_digest() -> tuple[int, str, str, None]:
