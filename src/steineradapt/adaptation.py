@@ -14,7 +14,9 @@ O(k) block operations. Large perturbations are handled stepwise: split the
 move into fragments and solve each one's first-order update with the
 factor of the current tree, without forming X. The stepper watches edge
 lengths, directions and Hessian conditioning and aborts instead of
-stepping through a topology breakdown.
+stepping through a topology breakdown. Corrected mode polishes each step's
+prediction back onto the fixed-topology optimum by Newton steps, each
+solved with the same block factor built at its own iterate.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from . import exact
-from .derivatives import SecondPartials, second_partials
+from .derivatives import SecondPartials, second_partials, steiner_gradient
 from .errors import DegenerateEdgeError, IllConditionedError, SteinerAdaptError
 from .trees import (
     COINCIDENT_THRESHOLD,
@@ -48,6 +50,12 @@ _SOLVE_RTOL = 1e-10
 # overtakes at about k = 160 (measured on a 2-core Xeon with one BLAS
 # thread). ARPACK could not run on the smallest matrices anyway.
 _DENSE_SPECTRUM_MAX = 320
+# Newton steps a corrected step makes before it hands its last accepted
+# iterate to exact.optimize_fixed_topology.
+_NEWTON_STEPS = 8
+# Gradient norm at which a corrected step is done: optimize_fixed_topology's
+# default grad_tol. The gradient is a sum of unit vectors, so it needs no scale.
+_NEWTON_GRAD_TOL = 1e-10
 
 
 class AdaptationMode(Enum):
@@ -219,17 +227,25 @@ def _factor(partials: SecondPartials) -> _BlockFactor:
 
 
 @dataclass(frozen=True, eq=False)
-class _Evaluation:
-    """A configuration's edge vectors and lengths, health and Hessian factor.
-    ``error`` is what a solve here raises: the degenerate edge (and then no
-    factor) or the first Steiner-forest component that is not definite."""
+class _Linearization:
+    """A configuration's edge vectors and lengths and the factor of its Steiner
+    Hessian: all that a Newton step needs. No factor when an edge is no longer
+    than the coincidence threshold."""
 
     tree: SteinerTree
     edges: np.ndarray
     lengths: np.ndarray
+    factor: _BlockFactor | None
+
+
+@dataclass(frozen=True, eq=False)
+class _Evaluation(_Linearization):
+    """A linearization with its health. ``error`` is what a solve here raises:
+    the degenerate edge (and then no factor) or the first Steiner-forest
+    component that is not definite."""
+
     health: HealthReport
     error: SteinerAdaptError | None
-    factor: _BlockFactor | None
 
 
 def _is_positive_definite(smallest: float, largest: float) -> bool:
@@ -306,9 +322,17 @@ def _component_spectrum(factor: _BlockFactor, members: np.ndarray) -> tuple[floa
     return smallest, largest, f"has eigenvalue range [{smallest:.3e}, {largest:.3e}]"
 
 
-def _evaluate(tree: SteinerTree) -> _Evaluation:
-    """Health and factor of ``tree``; a degenerate configuration gives a report, not an error."""
+def _linearize(tree: SteinerTree) -> _Linearization:
+    """Edge vectors, lengths and Hessian factor of ``tree``, without its health."""
     edges, lengths = edge_vectors(tree)
+    if (lengths <= COINCIDENT_THRESHOLD).any():
+        return _Linearization(tree, edges, lengths, None)
+    return _Linearization(tree, edges, lengths, _factor(second_partials(tree.topology.plan, edges, lengths)))
+
+
+def _assess(linear: _Linearization) -> _Evaluation:
+    """``linear`` with its health; a degenerate configuration gives a report, not an error."""
+    tree, edges, lengths, factor = linear.tree, linear.edges, linear.lengths, linear.factor
     try:
         geo = _geometric_conditions(tree.topology.plan, edges, lengths, angle_tol=1e-6)
     except DegenerateEdgeError as e:
@@ -318,9 +342,8 @@ def _evaluate(tree: SteinerTree) -> _Evaluation:
             hessian_condition=math.inf,
             positive_definite=False,
         )
-        return _Evaluation(tree, edges, lengths, health, e, None)
+        return _Evaluation(tree, edges, lengths, None, health, e)
     components = tree.topology.plan.forest.components
-    factor = _factor(second_partials(tree.topology.plan, edges, lengths))
     spectra = [_component_spectrum(factor, np.array(members)) for members in components]
     offenders = [(members, problem) for members, (_, _, problem) in zip(components, spectra) if problem is not None]
     error = None
@@ -339,7 +362,11 @@ def _evaluate(tree: SteinerTree) -> _Evaluation:
         hessian_condition=float(largest / smallest) if pd else math.inf,
         positive_definite=pd,
     )
-    return _Evaluation(tree, edges, lengths, health, error, factor)
+    return _Evaluation(tree, edges, lengths, factor, health, error)
+
+
+def _evaluate(tree: SteinerTree) -> _Evaluation:
+    return _assess(_linearize(tree))
 
 
 def _solve(evaluation: _Evaluation, delta_t: np.ndarray, scale: float) -> np.ndarray:
@@ -410,15 +437,47 @@ def health_metrics(tree: SteinerTree) -> HealthReport:
     return _evaluate(tree).health
 
 
+def _correct(tree: SteinerTree) -> _Evaluation:
+    """The fixed-topology optimum for ``tree``'s terminals, evaluated, reached from
+    its Steiner positions by Newton steps on each iterate's own Hessian factor.
+
+    A first-order prediction is O(h^2) from that optimum, inside Newton's
+    quadratic basin, so one or two steps usually reach the gradient tolerance.
+    A step is taken in full and accepted only if it decreases ||dJ/ds||. When
+    a pivot is not definite, an edge degenerates, a step fails to decrease the
+    gradient or the steps run out, the last accepted iterate goes to
+    :func:`exact.optimize_fixed_topology` instead.
+    """
+    plan = tree.topology.plan
+    accepted, gnorm = _linearize(tree), math.inf
+    if accepted.factor is not None:
+        g = steiner_gradient(plan, accepted.edges, accepted.lengths)
+        gnorm = float(np.linalg.norm(g))
+        for _ in range(_NEWTON_STEPS):
+            if gnorm <= _NEWTON_GRAD_TOL or not accepted.factor.definite.all():
+                break
+            step = accepted.factor.solve(-g.reshape(plan.k, 2, 1)).reshape(plan.k, 2)
+            trial = _linearize(SteinerTree(tree.topology, tree.terminal_positions, accepted.tree.steiner_positions + step))
+            if trial.factor is None:
+                break
+            g_trial = steiner_gradient(plan, trial.edges, trial.lengths)
+            norm = float(np.linalg.norm(g_trial))
+            if not norm < gnorm:
+                break
+            accepted, g, gnorm = trial, g_trial, norm
+    if gnorm <= _NEWTON_GRAD_TOL:
+        return _assess(accepted)
+    start = accepted.tree
+    return _evaluate(exact.optimize_fixed_topology(start.terminal_positions, start.topology, start.steiner_positions).tree)
+
+
 def _advance(evaluation: _Evaluation, frag: np.ndarray, mode: AdaptationMode) -> tuple[np.ndarray, _Evaluation]:
     """One first-order step from an evaluated configuration: the Steiner shift and the evaluated result."""
     tree = evaluation.tree
     ds = _solve(evaluation, frag, float(np.linalg.norm(frag))).reshape(-1)
     new_tree = SteinerTree.from_arrays(tree.topology, tree.t_vector() + frag, tree.s_vector() + ds)
     if mode is AdaptationMode.CORRECTED and tree.k > 0:
-        new_tree = exact.optimize_fixed_topology(
-            new_tree.terminal_positions, tree.topology, new_tree.steiner_positions
-        ).tree
+        return ds, _correct(new_tree)
     return ds, _evaluate(new_tree)
 
 

@@ -96,12 +96,17 @@ def gradient_s(tree: SteinerTree) -> np.ndarray:
     from each neighbor toward ``i``; at a fixed-topology optimum it
     vanishes.
     """
-    plan = tree.topology.plan
-    u, lengths = nondegenerate_edge_vectors(tree)
+    return steiner_gradient(tree.topology.plan, *nondegenerate_edge_vectors(tree))
+
+
+def steiner_gradient(plan: EdgePlan, u: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`gradient_s` from the edge vectors and lengths of a nondegenerate configuration."""
+    se, ss = plan.steiner_edges, plan.steiner_steiner
     unit = u / lengths[:, None]
-    g = np.zeros((tree.n + tree.k, 2))
-    np.add.at(g, np.concatenate((plan.head, plan.tail)), np.concatenate((unit, -unit)))
-    return g[tree.n :].reshape(-1)
+    g = np.zeros((plan.k, 2))
+    # the head of every Steiner edge is a Steiner point, and only Steiner-Steiner edges have one as tail
+    np.add.at(g, np.concatenate((plan.head[se], plan.tail[ss])) - plan.n, np.concatenate((unit[se], -unit[ss])))
+    return g.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@ All documents are JSON objects carrying ``format_version: 1``. Unknown
 fields are rejected so that typos fail loudly. Numbers are emitted with
 Python's shortest round-tripping representation, so encode/decode cycles
 are lossless. Node references in edge lists are strings like ``"t0"`` and
-``"s2"``.
+``"s2"``. Encoders write one line of compact JSON; the decoders accept any
+whitespace, so indented documents decode alike.
 """
 
 from __future__ import annotations
@@ -151,6 +152,12 @@ def _decode_tree(terminals: np.ndarray, steiner: np.ndarray, raw_edges) -> Stein
     return SteinerTree(topology, terminals, steiner)
 
 
+def _dump(doc: dict) -> str:
+    """``doc`` as one line of standard JSON. Without indentation ``json`` runs its
+    C encoder, several times faster on a report than the indented Python one."""
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def _tree_payload(tree: SteinerTree) -> dict:
     return {
         "terminals": tree.terminal_positions.tolist(),
@@ -164,7 +171,7 @@ def encode_instance(obj: SteinerTree | Sequence[Point2]) -> str:
         doc = {"format_version": FORMAT_VERSION, **_tree_payload(obj)}
     else:
         doc = {"format_version": FORMAT_VERSION, "terminals": [[p.x, p.y] for p in obj]}
-    return json.dumps(doc, indent=2) + "\n"
+    return _dump(doc)
 
 
 def decode_perturbation(text: str, expected_n: int | None = None) -> Perturbation:
@@ -182,7 +189,7 @@ def decode_perturbation(text: str, expected_n: int | None = None) -> Perturbatio
 def encode_perturbation(p: Perturbation) -> str:
     pairs = p.delta_t.reshape(-1, 2)
     doc = {"format_version": FORMAT_VERSION, "delta_t": [[float(dx), float(dy)] for dx, dy in pairs]}
-    return json.dumps(doc, indent=2) + "\n"
+    return _dump(doc)
 
 
 def _health_payload(health: HealthReport) -> dict:
@@ -240,7 +247,7 @@ def encode_report(report: AdaptationReport) -> str:
         ],
         "final_tree": _tree_payload(report.final_tree),
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _dump(doc)
 
 
 def decode_report(text: str) -> AdaptationReport:

@@ -24,6 +24,7 @@ from steineradapt import (
     tree_length,
 )
 
+from steineradapt import adaptation, exact
 from steineradapt.trees import edge_vectors
 
 from conftest import dense_step_oracle, grown_tree
@@ -478,3 +479,101 @@ class TestQuadraticAccuracy:
             assert report.status is AdaptationStatus.COMPLETED
             resolved = solve_exact(report.final_tree.terminal_array())
             assert tree_length(report.final_tree) <= resolved.length + 1e-5
+
+
+def reoptimize_after_every_step(tree):
+    """A corrected step as ``optimize_fixed_topology`` from the first-order
+    prediction, evaluated: what corrected mode did before its Newton corrector."""
+    optimum = optimize_fixed_topology(tree.terminal_positions, tree.topology, tree.steiner_positions).tree
+    return adaptation._evaluate(optimum)
+
+
+@pytest.fixture
+def optimize_calls(monkeypatch):
+    """Counts the calls of ``exact.optimize_fixed_topology`` made from now on."""
+    calls = []
+    original = exact.optimize_fixed_topology
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "optimize_fixed_topology", counting)
+    return calls
+
+
+def corrected_corpus(example1_tree, bridged_tree, rect_tree):
+    """(name, tree, perturbation, policy): the stepwise runs of TestDenseOracle, in corrected mode."""
+    corrected = AdaptationMode.CORRECTED
+    runs = [
+        ("example1", example1_tree, Perturbation.from_pairs([[0.4, 0], [0, 0], [0, 0]]), StepPolicy(steps=10, mode=corrected)),
+        ("bridged", bridged_tree, Perturbation(np.random.default_rng(28).uniform(-0.05, 0.05, 14)), StepPolicy(steps=3, mode=corrected)),
+    ]
+    rect_policies = [
+        (1.2, StepPolicy(steps=24, mode=corrected)),
+        (1.25, StepPolicy(steps=40, condition_limit=50.0, min_edge_fraction=1e-9, mode=corrected)),
+        (1.25, StepPolicy(steps=60, condition_limit=1e12, min_edge_fraction=0.2, mode=corrected)),
+    ]
+    for amount, policy in rect_policies:
+        p = Perturbation.from_pairs([[amount, 0], [amount, 0], [-amount, 0], [-amount, 0]])
+        runs.append((f"rect {amount} in {policy.steps}", rect_tree, p, policy))
+    rng = np.random.default_rng(29)
+    for i in range(20):
+        tree = optimized_random_tree(rng, int(rng.integers(3, 7)))
+        p = Perturbation(rng.uniform(-0.02, 0.02, 2 * tree.n))
+        runs.append((f"solved {i}", tree, p, StepPolicy(steps=3, mode=corrected)))
+    return runs
+
+
+class TestNewtonCorrector:
+    def test_matches_reoptimizing_after_every_step(self, example1_tree, bridged_tree, rect_tree, monkeypatch, optimize_calls):
+        collapses = 0
+        for name, tree, p, policy in corrected_corpus(example1_tree, bridged_tree, rect_tree):
+            optimize_calls.clear()
+            newton = adapt_stepwise(tree, p, policy)
+            # Newton cannot reach an optimum where an edge collapses; only the fallback goes there
+            collapsed = sum(rec.health.min_edge_length <= COINCIDENT_THRESHOLD for rec in newton.steps)
+            assert len(optimize_calls) == collapsed, name
+            collapses += collapsed
+            with monkeypatch.context() as patched:
+                patched.setattr(adaptation, "_correct", reoptimize_after_every_step)
+                reference = adapt_stepwise(tree, p, policy)
+            assert newton.status is reference.status, name
+            assert len(newton.steps) == len(reference.steps), name
+            for got, want in zip(newton.steps, reference.steps):
+                assert np.array_equal(got.delta_t_fragment, want.delta_t_fragment), name
+                assert np.abs(got.tree.steiner_positions - want.tree.steiner_positions).max() <= 1e-10, name
+        assert collapses == 3  # rect 1.25 in 40 steps, solved trees 10 and 17
+
+    def test_fallback_from_outside_the_basin_is_optimize_fixed_topology(self, example1_tree, optimize_calls):
+        # one first-order step of a 0.4 shift lands outside Newton's basin
+        p = Perturbation.from_pairs([[0.4, 0], [0, 0], [0, 0]])
+        predicted, _ = adapt_single(example1_tree, p)
+        corrected, health = adapt_single(example1_tree, p, AdaptationMode.CORRECTED)
+        assert len(optimize_calls) == 1
+        expected = optimize_fixed_topology(predicted.terminal_positions, predicted.topology, predicted.steiner_positions)
+        assert corrected == expected.tree
+        assert health == health_metrics(expected.tree)
+
+    def test_collapsed_fallback_aborts_as_degenerate_edge(self, example1_tree, optimize_calls):
+        p = Perturbation.from_pairs([[0.8, 0], [0, 0], [0, 0]])
+        report = adapt_stepwise(example1_tree, p, StepPolicy(steps=1, mode=AdaptationMode.CORRECTED))
+        assert len(optimize_calls) == 1
+        assert report.status is AdaptationStatus.ABORTED_DEGENERATE_EDGE
+        assert report.steps[0].health.min_edge_length <= COINCIDENT_THRESHOLD
+
+    @pytest.mark.parametrize("k", [98, 398])
+    def test_grown_trees_reach_the_gradient_tolerance(self, k, optimize_calls):
+        rng = np.random.default_rng(k)
+        tree = grown_tree(rng, k)
+        edges, lengths = edge_vectors(tree)
+        ts = tree.topology.plan.terminal_steiner
+        reach = np.zeros(tree.n)
+        reach[tree.topology.plan.tail[ts]] = 0.15 * lengths[ts]
+        angle = rng.uniform(0.0, 2 * math.pi, tree.n)
+        p = Perturbation((reach[:, None] * np.column_stack((np.cos(angle), np.sin(angle)))).reshape(-1))
+        report = adapt_stepwise(tree, p, StepPolicy(steps=4, mode=AdaptationMode.CORRECTED))
+        assert report.status is AdaptationStatus.COMPLETED
+        assert optimize_calls == []
+        for rec in report.steps:
+            assert np.linalg.norm(gradient_s(rec.tree)) <= 1e-10

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,9 @@ from steineradapt import (
     StepPolicy,
     SteinerTree,
     adapt_stepwise,
+    min_edge_length,
+    optimize_fixed_topology,
+    solve_exact,
 )
 from steineradapt.documents import (
     decode_instance,
@@ -23,6 +27,35 @@ from steineradapt.documents import (
     encode_perturbation,
     encode_report,
 )
+
+from conftest import RECT_TERMINALS, RECT_TOPOLOGY
+
+# SHA-256 of the compact JSON of every report of pure_reports(). It was
+# recorded from the last indented encoder, by re-dumping each of its reports
+# compactly, so it pins both the pure stepper's bits and the compact format.
+# Bits of the health checks' eigenvalues depend on the numpy build, which
+# was numpy 2.4.6 (x86-64, scipy-openblas).
+PURE_REPORTS_SHA256 = "8a75065ba535f3113b5b27cbf8c6a6170866106115f7264ef299bf94856b1983"
+
+
+def pure_reports() -> list:
+    """Pure-mode runs: 16 exactly solved n = 3..6 trees, each moved by 0.2 of its
+    shortest edge in 8 steps; a rectangle shrink that ends ill-conditioned; and a
+    start whose Steiner point sits on a terminal, with an infinite condition."""
+    rng = np.random.default_rng(45)
+    reports = []
+    for i in range(16):
+        while (tree := solve_exact(rng.uniform(-1.0, 1.0, (3 + i % 4, 2))).tree).k == 0:
+            pass
+        angle = rng.uniform(0.0, 2 * math.pi, tree.n)
+        move = 0.2 * min_edge_length(tree) * np.column_stack((np.cos(angle), np.sin(angle)))
+        reports.append(adapt_stepwise(tree, Perturbation.from_pairs(move), StepPolicy(steps=8)))
+    rect = optimize_fixed_topology(RECT_TERMINALS, RECT_TOPOLOGY, [(-1.0, 0.0), (1.0, 0.0)]).tree
+    shrink = Perturbation.from_pairs([[1.25, 0], [1.25, 0], [-1.25, 0], [-1.25, 0]])
+    reports.append(adapt_stepwise(rect, shrink, StepPolicy(steps=40, condition_limit=50.0, min_edge_fraction=1e-9)))
+    stuck = SteinerTree.from_arrays(example_tree().topology, [(0, 0), (1, 0), (0, 1)], [(0, 0)])
+    reports.append(adapt_stepwise(stuck, Perturbation.from_pairs([[0.1, 0], [0, 0], [0, 0]]), StepPolicy(steps=2)))
+    return reports
 
 EXAMPLE_DOC = {
     "format_version": 1,
@@ -214,6 +247,40 @@ class TestRoundTrips:
         text = encode_report(report).replace('"completed"', '"finished"')
         with pytest.raises(DocumentError, match="unknown status"):
             decode_report(text)
+
+
+class TestCompactReports:
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return pure_reports()
+
+    def test_report_has_no_indentation(self, reports):
+        for report in reports:
+            text = encode_report(report)
+            assert text.count("\n") == 1 and text.endswith("}\n")
+            assert ", " not in text and ": " not in text
+
+    def test_report_round_trips_bit_for_bit(self, reports):
+        for report in reports:
+            text = encode_report(report)
+            assert encode_report(decode_report(text)) == text
+
+    def test_indented_report_decodes_to_the_same_report(self, reports):
+        for report in reports:
+            text = encode_report(report)
+            indented = json.dumps(json.loads(text), indent=2) + "\n"
+            assert encode_report(decode_report(indented)) == text
+
+    @pytest.mark.skipif(np.__version__ != "2.4.6", reason="the digest's eigenvalue bits were recorded with numpy 2.4.6")
+    def test_pure_reports_match_their_recorded_digest(self, reports):
+        digest = hashlib.sha256()
+        for report in reports:
+            digest.update(encode_report(report).encode("utf-8"))
+        assert [r.status for r in reports[-2:]] == [
+            AdaptationStatus.ABORTED_ILL_CONDITIONED,
+            AdaptationStatus.ABORTED_DEGENERATE_EDGE,
+        ]
+        assert digest.hexdigest() == PURE_REPORTS_SHA256
 
 
 class TestEmitTrace:
