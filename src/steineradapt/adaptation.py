@@ -24,19 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from . import exact
 from .derivatives import SecondPartials, second_partials, steiner_gradient
 from .errors import DegenerateEdgeError, IllConditionedError, SteinerAdaptError
-from .trees import (
-    COINCIDENT_THRESHOLD,
-    SteinerTree,
-    _geometric_conditions,
-    edge_vectors,
-    validate_topology,
-)
+from .trees import COINCIDENT_THRESHOLD, EdgePlan, SteinerTree, _geometric_conditions, validate_topology
 
 # Relative eigenvalue floor below which the Hessian is treated as not
 # positive definite.
@@ -45,10 +40,12 @@ _PD_RTOL = 1e-12
 _SOLVE_RTOL = 1e-10
 # Most Hessian rows (2 per Steiner point) of a Steiner-forest component
 # whose extreme eigenvalues come from a dense eigvalsh; a larger component
-# gets Lanczos. Lanczos pays a near-constant few milliseconds of ARPACK
-# iterations and level-by-level solves, which the O(k^3) eigvalsh
-# overtakes at about k = 160 (measured on a 2-core Xeon with one BLAS
-# thread). ARPACK could not run on the smallest matrices anyway.
+# gets Lanczos. On the grown trees of k = 120 to 240 Lanczos pays 4-6 ms:
+# about 2.5-4.5 ms for the λmax run, 0.4-0.7 ms to build the inverse
+# factors and 0.9-1.9 ms for the λmin run. The O(k^3) eigvalsh overtakes
+# it at about k = 130 (tools/spectrum_timing.py, 2-core Xeon, one BLAS
+# thread), within a quarter of the k = 160 that this threshold was set
+# for, so it stays. ARPACK could not run on the smallest matrices anyway.
 _DENSE_SPECTRUM_MAX = 320
 # Newton steps a corrected step makes before it hands its last accepted
 # iterate to exact.optimize_fixed_topology.
@@ -198,6 +195,52 @@ class _BlockFactor:
             x[child] -= np.einsum("kab,kbc->kac", w, x[parent])
         return x
 
+    @cached_property
+    def inverse_factors(self):
+        """``(Lt, M)``, scipy sparse arrays of 2x2 blocks with ``H^-1 = Lt @ M``
+        in the root-down numbering of the forest's ``paths`` (block row r is
+        Steiner point ``paths.order[r]``), for callers that apply H^-1 many
+        times, like :meth:`SecondPartials.hessian` for H. One-off solves keep
+        :meth:`solve`, which trees without a Lanczos run never leave.
+
+        With ``H = L D L^T``, ``Lt`` is ``L^-T`` and ``M`` is ``D^-1 L^-1``.
+        Column j of ``L^-1`` is nonzero only on the path from j to its root,
+        so each holds one block per point of each Steiner point's path,
+        ``depth + 1`` per point: about 3k to 4k blocks on a 120-degree grown
+        tree with k = 398, but k^2 / 4 on a path of k points (40k at
+        k = 398). Row j of ``Lt`` is the identity at j followed by
+        ``-multiplier[j]`` times the row of j's parent, so the rows take one
+        batched product per level, from the roots down; the same products
+        carry each block times its column's pivot inverse, which are ``M``'s
+        blocks transposed. A product with H^-1 is then two compiled sparse
+        products with no Python loop. A component with a singular pivot
+        fills only its own rows with inf and nan.
+        """
+        from scipy.sparse import bsr_array
+
+        forest = self.partials.plan.forest
+        levels = zip(reversed(forest.levels), forest.paths.parents, reversed(self.multipliers))
+        identity = np.eye(2)
+        # per point of one depth, as (point, block row, path, column): its row of
+        # Lt beside the same blocks times their column's pivot inverse
+        row = np.empty((forest.roots.size, 2, 1, 4))
+        row[:, :, 0, :2], row[:, :, 0, 2:] = identity, self.inverse[forest.roots]
+        rows = [row]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for (child, _, _), above, w in levels:
+                depth = row.shape[2]
+                upper = row[above].reshape(child.size, 2, 4 * depth)
+                row = np.empty((child.size, 2, depth + 1, 4))
+                row[:, :, 0, :2], row[:, :, 0, 2:] = identity, self.inverse[child]
+                row[:, :, 1:] = ((-w) @ upper).reshape(child.size, 2, depth, 4)
+                rows.append(row)
+        # (Lt or M^T, block, 2, 2) in the paths' row order
+        blocks = np.concatenate(
+            [r.reshape(len(r), 2, -1, 2, 2).transpose(3, 0, 2, 1, 4).reshape(2, -1, 2, 2) for r in rows], axis=1
+        )
+        pattern, shape = (forest.paths.columns, forest.paths.indptr), (2 * self.partials.plan.k,) * 2
+        return bsr_array((blocks[0], *pattern), shape=shape), bsr_array((blocks[1], *pattern), shape=shape).T
+
 
 def _inverse2(blocks: np.ndarray) -> np.ndarray:
     """Inverses of a stack of symmetric 2x2 blocks, exactly symmetric themselves."""
@@ -232,7 +275,6 @@ class _Linearization:
     Hessian: all that a Newton step needs. No factor when an edge is no longer
     than the coincidence threshold."""
 
-    tree: SteinerTree
     edges: np.ndarray
     lengths: np.ndarray
     factor: _BlockFactor | None
@@ -240,10 +282,11 @@ class _Linearization:
 
 @dataclass(frozen=True, eq=False)
 class _Evaluation(_Linearization):
-    """A linearization with its health. ``error`` is what a solve here raises:
-    the degenerate edge (and then no factor) or the first Steiner-forest
-    component that is not definite."""
+    """A tree's linearization with its health. ``error`` is what a solve here
+    raises: the degenerate edge (and then no factor) or the first
+    Steiner-forest component that is not definite."""
 
+    tree: SteinerTree
     health: HealthReport
     error: SteinerAdaptError | None
 
@@ -272,19 +315,21 @@ def _lanczos_extremes(factor: _BlockFactor, members: np.ndarray) -> tuple[float,
     ``members`` of one component, from Lanczos (ARPACK).
 
     The largest comes from products with H, the smallest as the reciprocal
-    of the largest eigenvalue of H^-1 applied through the factor. H is
-    block diagonal over the components, so both act on a vector that is
-    zero off the component. Both runs start from one fixed vector, so that
+    of the largest eigenvalue of H^-1 applied through the factor's
+    ``inverse_factors``. H is block diagonal over the components, so both
+    act on a vector that is zero off the component. Both runs start from one fixed vector, so that
     equal inputs give equal bits.
     """
     # imported on first use, like scipy.sparse in SecondPartials.hessian
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     k = factor.partials.plan.k
-    rows = (2 * members[:, None] + np.arange(2)).reshape(-1) if members.size < k else slice(None)
     size = 2 * members.size
 
-    def on_component(apply):
+    def on_component(apply, points: np.ndarray) -> LinearOperator:
+        """``apply`` on the rows of ``points``, the members in the numbering ``apply`` uses."""
+        rows = (2 * points[:, None] + np.arange(2)).reshape(-1)
+
         def matvec(v: np.ndarray) -> np.ndarray:
             full = np.zeros(2 * k)
             full[rows] = v.reshape(-1)
@@ -294,8 +339,10 @@ def _lanczos_extremes(factor: _BlockFactor, members: np.ndarray) -> tuple[float,
 
     start = np.random.default_rng(0).standard_normal(size)
     hessian = factor.partials.hessian
-    largest = eigsh(on_component(hessian.dot), k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
-    solve = on_component(lambda v: factor.solve(v.reshape(k, 2, 1)).reshape(-1))
+    largest = eigsh(on_component(hessian.dot, members), k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
+    lt, m = factor.inverse_factors
+    position = factor.partials.plan.forest.paths.position
+    solve = on_component(lambda v: lt @ (m @ v), position[members])
     inverse = eigsh(solve, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
     return float(1.0 / inverse[0]), float(largest[0])
 
@@ -322,17 +369,18 @@ def _component_spectrum(factor: _BlockFactor, members: np.ndarray) -> tuple[floa
     return smallest, largest, f"has eigenvalue range [{smallest:.3e}, {largest:.3e}]"
 
 
-def _linearize(tree: SteinerTree) -> _Linearization:
-    """Edge vectors, lengths and Hessian factor of ``tree``, without its health."""
-    edges, lengths = edge_vectors(tree)
+def _linearize(plan: EdgePlan, terminals: np.ndarray, steiner: np.ndarray) -> _Linearization:
+    """Edge vectors, lengths and Hessian factor of the nodes at ``terminals`` and
+    ``steiner``, without their health and without building a tree."""
+    edges, lengths = plan.edge_vectors(terminals, steiner)
     if (lengths <= COINCIDENT_THRESHOLD).any():
-        return _Linearization(tree, edges, lengths, None)
-    return _Linearization(tree, edges, lengths, _factor(second_partials(tree.topology.plan, edges, lengths)))
+        return _Linearization(edges, lengths, None)
+    return _Linearization(edges, lengths, _factor(second_partials(plan, edges, lengths)))
 
 
-def _assess(linear: _Linearization) -> _Evaluation:
-    """``linear`` with its health; a degenerate configuration gives a report, not an error."""
-    tree, edges, lengths, factor = linear.tree, linear.edges, linear.lengths, linear.factor
+def _assess(tree: SteinerTree, linear: _Linearization) -> _Evaluation:
+    """``tree``'s linearization with its health; a degenerate configuration gives a report, not an error."""
+    edges, lengths, factor = linear.edges, linear.lengths, linear.factor
     try:
         geo = _geometric_conditions(tree.topology.plan, edges, lengths, angle_tol=1e-6)
     except DegenerateEdgeError as e:
@@ -342,7 +390,7 @@ def _assess(linear: _Linearization) -> _Evaluation:
             hessian_condition=math.inf,
             positive_definite=False,
         )
-        return _Evaluation(tree, edges, lengths, None, health, e)
+        return _Evaluation(edges, lengths, None, tree, health, e)
     components = tree.topology.plan.forest.components
     spectra = [_component_spectrum(factor, np.array(members)) for members in components]
     offenders = [(members, problem) for members, (_, _, problem) in zip(components, spectra) if problem is not None]
@@ -362,11 +410,11 @@ def _assess(linear: _Linearization) -> _Evaluation:
         hessian_condition=float(largest / smallest) if pd else math.inf,
         positive_definite=pd,
     )
-    return _Evaluation(tree, edges, lengths, factor, health, error)
+    return _Evaluation(edges, lengths, factor, tree, health, error)
 
 
 def _evaluate(tree: SteinerTree) -> _Evaluation:
-    return _assess(_linearize(tree))
+    return _assess(tree, _linearize(tree.topology.plan, tree.terminal_positions, tree.steiner_positions))
 
 
 def _solve(evaluation: _Evaluation, delta_t: np.ndarray, scale: float) -> np.ndarray:
@@ -448,27 +496,28 @@ def _correct(tree: SteinerTree) -> _Evaluation:
     gradient or the steps run out, the last accepted iterate goes to
     :func:`exact.optimize_fixed_topology` instead.
     """
-    plan = tree.topology.plan
-    accepted, gnorm = _linearize(tree), math.inf
+    plan, terminals, steiner = tree.topology.plan, tree.terminal_positions, tree.steiner_positions
+    accepted, gnorm = _linearize(plan, terminals, steiner), math.inf
     if accepted.factor is not None:
         g = steiner_gradient(plan, accepted.edges, accepted.lengths)
         gnorm = float(np.linalg.norm(g))
         for _ in range(_NEWTON_STEPS):
             if gnorm <= _NEWTON_GRAD_TOL or not accepted.factor.definite.all():
                 break
-            step = accepted.factor.solve(-g.reshape(plan.k, 2, 1)).reshape(plan.k, 2)
-            trial = _linearize(SteinerTree(tree.topology, tree.terminal_positions, accepted.tree.steiner_positions + step))
+            moved = steiner + accepted.factor.solve(-g.reshape(plan.k, 2, 1)).reshape(plan.k, 2)
+            trial = _linearize(plan, terminals, moved)
             if trial.factor is None:
                 break
             g_trial = steiner_gradient(plan, trial.edges, trial.lengths)
             norm = float(np.linalg.norm(g_trial))
             if not norm < gnorm:
                 break
-            accepted, g, gnorm = trial, g_trial, norm
-    if gnorm <= _NEWTON_GRAD_TOL:
-        return _assess(accepted)
-    start = accepted.tree
-    return _evaluate(exact.optimize_fixed_topology(start.terminal_positions, start.topology, start.steiner_positions).tree)
+            steiner, accepted, g, gnorm = moved, trial, g_trial, norm
+    if gnorm > _NEWTON_GRAD_TOL:
+        return _evaluate(exact.optimize_fixed_topology(terminals, tree.topology, steiner).tree)
+    # only the accepted iterate becomes a tree
+    reached = tree if steiner is tree.steiner_positions else SteinerTree(tree.topology, terminals, steiner)
+    return _assess(reached, accepted)
 
 
 def _advance(evaluation: _Evaluation, frag: np.ndarray, mode: AdaptationMode) -> tuple[np.ndarray, _Evaluation]:

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DegenerateEdgeError
 from .trees import COINCIDENT_THRESHOLD, EdgePlan, NodeRef, SteinerTree, nondegenerate_edge_vectors
 
+_IDENTITY = np.eye(2)
+_IDENTITY.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class BlockMatrix2:
@@ -81,7 +84,7 @@ def edge_projection(u) -> np.ndarray:
 def _projections(u: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """:func:`edge_projection` of every row of ``u`` (shape (E, 2) -> (E, 2, 2))."""
     outer = u[:, :, None] * u[:, None, :]
-    return (np.eye(2) - outer / (lengths * lengths)[:, None, None]) / lengths[:, None, None]
+    return (_IDENTITY - outer / (lengths * lengths)[:, None, None]) / lengths[:, None, None]
 
 
 def cost(tree: SteinerTree) -> float:

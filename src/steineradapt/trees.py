@@ -94,6 +94,56 @@ class SteinerForest:
     roots: np.ndarray
     levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
+    @cached_property
+    def paths(self) -> AncestorPaths:
+        """Every Steiner point's path to its root, built on first use."""
+        return _build_paths(self.roots, self.levels)
+
+
+@dataclass(frozen=True, eq=False)
+class AncestorPaths:
+    """Every Steiner point's path to the root of its :class:`SteinerForest`
+    component: the block pattern of the inverse of the unit factor that
+    eliminates each component from its leaves.
+
+    ``order`` numbers the Steiner points from the roots down: the roots,
+    then the points of depth 1, 2, ..., each depth in the order of its
+    forest level; ``position`` inverts it. ``parents[d]`` holds, for the
+    points of depth ``d + 1``, their parents' indices among the points of
+    depth ``d``. In those positions, row ``r`` of the pattern is
+    ``columns[indptr[r]:indptr[r + 1]]``: the point itself, its parent, and
+    so on up to its root, ``depth + 1`` entries. A component has the sum of
+    its points' ``depth + 1`` entries, about k^2 / 4 on a path of k points
+    rooted at its centre.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    parents: tuple[np.ndarray, ...]
+    columns: np.ndarray
+    indptr: np.ndarray
+
+
+def _build_paths(roots: np.ndarray, forest_levels: tuple[tuple[np.ndarray, ...], ...]) -> AncestorPaths:
+    groups = [roots] + [child for child, _, _ in reversed(forest_levels)]
+    order = np.concatenate(groups)
+    position = np.empty(order.size, np.intp)
+    position[order] = np.arange(order.size)
+    offsets = np.cumsum([0] + [g.size for g in groups])
+    parents, rows = [], [position[roots][:, None]]
+    for depth, (child, parent, _) in enumerate(reversed(forest_levels), 1):
+        above = position[parent] - offsets[depth - 1]
+        parents.append(_frozen_array(above, np.intp))
+        rows.append(np.column_stack((position[child], rows[-1][above])))
+    lengths = np.repeat(np.arange(1, len(groups) + 1), [g.size for g in groups])
+    return AncestorPaths(
+        order=_frozen_array(order, np.intp),
+        position=_frozen_array(position, np.intp),
+        parents=tuple(parents),
+        columns=_frozen_array(np.concatenate([r.reshape(-1) for r in rows]), np.intp),
+        indptr=_frozen_array(np.concatenate(([0], np.cumsum(lengths))), np.intp),
+    )
+
 
 def _build_forest(k: int, ends_a: list[int], ends_b: list[int]) -> SteinerForest:
     adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
@@ -176,6 +226,12 @@ class EdgePlan:
     def node_pairs(self) -> list[tuple[int, int]]:
         """Every edge as its ``(tail, head)`` pair of stacked ids."""
         return list(zip(self.tail.tolist(), self.head.tolist()))
+
+    def edge_vectors(self, terminals: np.ndarray, steiner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`edge_vectors` of the nodes at ``terminals`` ``(n, 2)`` and ``steiner`` ``(k, 2)``."""
+        nodes = np.concatenate((terminals, steiner))
+        u = nodes[self.head] - nodes[self.tail]
+        return u, np.hypot(u[:, 0], u[:, 1])
 
     @cached_property
     def forest(self) -> SteinerForest:
@@ -503,10 +559,7 @@ def edge_vectors(tree: SteinerTree) -> tuple[np.ndarray, np.ndarray]:
     topology's :class:`EdgePlan`. Degenerate edges are returned as they
     are; see :func:`nondegenerate_edge_vectors`.
     """
-    plan = tree.topology.plan
-    nodes = np.concatenate((tree.terminal_positions, tree.steiner_positions))
-    u = nodes[plan.head] - nodes[plan.tail]
-    return u, np.hypot(u[:, 0], u[:, 1])
+    return tree.topology.plan.edge_vectors(tree.terminal_positions, tree.steiner_positions)
 
 
 def nondegenerate_edge_vectors(tree: SteinerTree) -> tuple[np.ndarray, np.ndarray]:

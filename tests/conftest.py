@@ -117,15 +117,17 @@ def dense_health_oracle(tree: SteinerTree) -> tuple[bool, float, list[int] | Non
     return pd, float(eigs[-1] / eigs[0]) if pd else math.inf, offender
 
 
-def edge_factor_condition(tree: SteinerTree) -> float:
-    """The Steiner Hessian's condition number from the singular values of its edge factor.
+def edge_factor_condition(tree: SteinerTree, members=None) -> float:
+    """The Steiner Hessian's condition number from the singular values of its edge
+    factor, or that of its block on the Steiner points ``members`` if given.
 
     Each edge projection is ``w w^T / |u|`` with ``w`` the unit normal of the
     edge vector ``u``, so ``H = B^T B`` where row ``e`` of ``B`` holds
     ``w / sqrt(|u|)`` at the edge's Steiner head and its negative at a
     Steiner tail. An SVD of ``B`` resolves the smallest eigenvalue to about
     ``eps * sqrt(cond)`` relative, where a dense ``eigvalsh`` of ``H`` is
-    only good to about ``eps * cond``.
+    only good to about ``eps * cond``. The block of a Steiner-forest
+    component is ``B_c^T B_c`` for ``B``'s columns of its points.
     """
     plan = tree.topology.plan
     nodes = np.concatenate((tree.terminal_positions, tree.steiner_positions))
@@ -135,7 +137,8 @@ def edge_factor_condition(tree: SteinerTree) -> float:
         w = np.array([-u[1], u[0]]) / np.linalg.norm(u) ** 1.5
         B[e, plan.head[e]] += w
         B[e, plan.tail[e]] -= w
-    singular = np.linalg.svd(B[:, tree.n :].reshape(len(plan.refs), -1), compute_uv=False)
+    columns = np.arange(tree.k) if members is None else np.asarray(members)
+    singular = np.linalg.svd(B[:, tree.n + columns].reshape(len(plan.refs), -1), compute_uv=False)
     return float((singular[0] / singular[-1]) ** 2)
 
 

@@ -29,6 +29,7 @@ from steineradapt import (
     SteinerTopology,
     SteinerTree,
     adapt_stepwise,
+    adaptation,
     derivatives,
     health_metrics,
     min_edge_length,
@@ -263,3 +264,75 @@ def test_components_apart_in_scale_are_judged_one_by_one(k):
     p = small_move(rng, tree, 0.01)
     ds, _ = dense_step_oracle(tree, p.delta_t)
     assert np.linalg.norm(first_order_delta_s(tree, p) - ds) <= 1e-9 * np.linalg.norm(ds)
+
+
+def inverse_times(tree: SteinerTree, x: np.ndarray) -> np.ndarray:
+    """``H^-1 x`` for ``x`` of shape ``(k, 2, c)`` through the factor's two sparse
+    factors, which work in the forest's root-down numbering."""
+    factor = adaptation._evaluate(tree).factor
+    lt, m = factor.inverse_factors
+    order = tree.topology.plan.forest.paths.order
+    y = np.empty_like(x)
+    y[order] = (lt @ (m @ x[order].reshape(2 * tree.k, -1))).reshape(x.shape)
+    return y
+
+
+def path_blocks(tree: SteinerTree) -> int:
+    """The number of (point, ancestor) pairs of the Steiner forest, a point
+    counted as its own ancestor: the sum over the points of depth + 1."""
+    depth = np.zeros(tree.k, dtype=int)
+    for d, (child, _, _) in enumerate(reversed(tree.topology.plan.forest.levels), 1):
+        depth[child] = d
+    return int((depth + 1).sum())
+
+
+class TestInverseFactors:
+    """The two sparse factors of H^-1 that the λmin Lanczos run applies."""
+
+    @pytest.mark.parametrize(
+        "name, tree",
+        [
+            ("grown 170", grown_tree(np.random.default_rng(170), 170)),
+            ("grown 398", grown_tree(np.random.default_rng(398), 398)),
+            ("caterpillar 340", caterpillar_tree(np.random.default_rng(340).uniform(0.3, 1.5, 341))),
+            ("split caterpillar 340", split_caterpillar(np.random.default_rng(341).uniform(0.3, 1.5, 341), 120)),
+        ],
+    )
+    def test_equal_the_level_by_level_solve(self, name, tree):
+        factor = adaptation._evaluate(tree).factor
+        lt, m = factor.inverse_factors
+        assert lt.blocksize == m.blocksize == (2, 2)
+        assert lt.data.shape[0] == m.data.shape[0] == path_blocks(tree)
+        x = np.random.default_rng(0).standard_normal((tree.k, 2, 3))
+        solved = factor.solve(x)
+        assert np.linalg.norm(inverse_times(tree, x) - solved) <= 1e-13 * np.linalg.norm(solved)
+
+    def test_keep_the_components_apart(self):
+        tree = split_caterpillar(np.random.default_rng(342).uniform(0.3, 1.5, 341), 120)
+        for members in map(np.array, tree.topology.plan.forest.components):
+            x = np.zeros((tree.k, 2, 1))
+            x[members] = np.random.default_rng(1).standard_normal((members.size, 2, 1))
+            y = inverse_times(tree, x)
+            outside = np.setdiff1d(np.arange(tree.k), members)
+            assert np.all(y[outside] == 0.0)
+            assert np.isfinite(y[members]).all() and np.abs(y[members]).max() > 0
+
+    @pytest.mark.parametrize("seed, angle, i, nonfinite", [(0, math.pi / 2, 5, True), (0, 0.0, 84, False)])
+    def test_a_singular_component_leaves_the_other_to_lanczos(self, seed, angle, i, nonfinite):
+        # the whole-tree operator carries the singular component's inf and nan;
+        # the healthy component, on the Lanczos path, must not see them
+        k, cut = 340, 170
+        tree = lined_up(split_caterpillar(np.random.default_rng(seed).uniform(0.3, 1.5, k + 1), cut), i, angle, 0.0)
+        bad, good = (np.array(members) for members in tree.topology.plan.forest.components)
+        assert 2 * good.size > _DENSE_SPECTRUM_MAX
+        factor = adaptation._evaluate(tree).factor
+        assert not factor.definite[bad].all() and factor.definite[good].all()
+        lt, m = factor.inverse_factors
+        assert np.isfinite(np.concatenate((lt.data, m.data))).all() != nonfinite
+        smallest, largest, problem = adaptation._component_spectrum(factor, good)
+        assert problem is None and np.isfinite([smallest, largest]).all()
+        assert largest / smallest == pytest.approx(edge_factor_condition(tree, good), rel=1e-12)
+        x = np.zeros((tree.k, 2, 1))
+        x[good] = np.random.default_rng(2).standard_normal((good.size, 2, 1))
+        solved = factor.solve(x)[good]
+        assert np.linalg.norm(inverse_times(tree, x)[good] - solved) <= 1e-13 * np.linalg.norm(solved)
