@@ -9,7 +9,8 @@ the bridged forest, caterpillars whose elimination depth is about k / 2, a
 caterpillar cut into two components, and configurations made singular or
 nearly so by lining up one Steiner point's three edges. A component with
 more than ``_DENSE_SPECTRUM_MAX`` Hessian rows takes the Lanczos path, a
-smaller one the dense spectrum.
+smaller one the dense spectrum. The two sparse factors of H^-1 that the
+λmin Lanczos run applies are checked against the level-by-level solve.
 """
 
 import json
