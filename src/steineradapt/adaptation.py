@@ -47,6 +47,14 @@ _SOLVE_RTOL = 1e-10
 # thread), within a quarter of the k = 160 that this threshold was set
 # for, so it stays. ARPACK could not run on the smallest matrices anyway.
 _DENSE_SPECTRUM_MAX = 320
+# Most 2x2 blocks per Steiner point (the mean depth in the Steiner forest,
+# plus one) for which the λmin Lanczos run applies H^-1 through the
+# factor's cached inverse_factors rather than level-by-level solves. Their
+# build peaks at about 130 bytes per block, so this caps it near 17 kB per
+# Steiner point. On caterpillars (tools/spectrum_timing.py, 2-core Xeon,
+# one BLAS thread) build plus run cost 14 ms against 50 ms by solves at
+# 100 blocks per point (k = 398), and draw level at about 400 (k = 1598).
+_INVERSE_BLOCKS_PER_POINT = 128
 # Newton steps a corrected step makes before it hands its last accepted
 # iterate to exact.optimize_fixed_topology.
 _NEWTON_STEPS = 8
@@ -198,8 +206,8 @@ class _BlockFactor:
     @cached_property
     def inverse_factors(self):
         """``(Lt, M)``, scipy sparse arrays of 2x2 blocks with ``H^-1 = Lt @ M``
-        in the root-down numbering of the forest's ``paths`` (block row r is
-        Steiner point ``paths.order[r]``), for callers that apply H^-1 many
+        in the root-down numbering of the forest's ``paths`` (Steiner point i
+        is block row ``paths.position[i]``), for callers that apply H^-1 many
         times, like :meth:`SecondPartials.hessian` for H. One-off solves keep
         :meth:`solve`, which trees without a Lanczos run never leave.
 
@@ -208,8 +216,11 @@ class _BlockFactor:
         so each holds one block per point of each Steiner point's path,
         ``depth + 1`` per point: about 3k to 4k blocks on a 120-degree grown
         tree with k = 398, but k^2 / 4 on a path of k points (40k at
-        k = 398). Row j of ``Lt`` is the identity at j followed by
-        ``-multiplier[j]`` times the row of j's parent, so the rows take one
+        k = 398), so :func:`_lanczos_extremes` builds them only up to
+        ``_INVERSE_BLOCKS_PER_POINT`` blocks per point. The build peaks at
+        about 104 bytes per block and keeps 72. Row j of ``Lt`` is the
+        identity at j followed by ``-multiplier[j]`` times the row of j's
+        parent, so the rows take one
         batched product per level, from the roots down; the same products
         carry each block times its column's pivot inverse, which are ``M``'s
         blocks transposed. A product with H^-1 is then two compiled sparse
@@ -219,27 +230,36 @@ class _BlockFactor:
         from scipy.sparse import bsr_array
 
         forest = self.partials.plan.forest
-        levels = zip(reversed(forest.levels), forest.paths.parents, reversed(self.multipliers))
+        paths = forest.paths
         identity = np.eye(2)
-        # per point of one depth, as (point, block row, path, column): its row of
-        # Lt beside the same blocks times their column's pivot inverse
-        row = np.empty((forest.roots.size, 2, 1, 4))
-        row[:, :, 0, :2], row[:, :, 0, 2:] = identity, self.inverse[forest.roots]
-        rows = [row]
-        with np.errstate(invalid="ignore", over="ignore"):
-            for (child, _, _), above, w in levels:
+
+        def depths():
+            """Per depth, from the roots down, its points' rows as (point, block
+            row, path, column): their blocks of Lt beside the same blocks
+            times their column's pivot inverse."""
+            row = np.empty((forest.roots.size, 2, 1, 4))
+            row[:, :, 0, :2], row[:, :, 0, 2:] = identity, self.inverse[forest.roots]
+            yield row
+            for (child, _, _), above, w in zip(reversed(forest.levels), paths.parents, reversed(self.multipliers)):
                 depth = row.shape[2]
                 upper = row[above].reshape(child.size, 2, 4 * depth)
                 row = np.empty((child.size, 2, depth + 1, 4))
                 row[:, :, 0, :2], row[:, :, 0, 2:] = identity, self.inverse[child]
                 row[:, :, 1:] = ((-w) @ upper).reshape(child.size, 2, depth, 4)
-                rows.append(row)
-        # (Lt or M^T, block, 2, 2) in the paths' row order
-        blocks = np.concatenate(
-            [r.reshape(len(r), 2, -1, 2, 2).transpose(3, 0, 2, 1, 4).reshape(2, -1, 2, 2) for r in rows], axis=1
-        )
-        pattern, shape = (forest.paths.columns, forest.paths.indptr), (2 * self.partials.plan.k,) * 2
-        return bsr_array((blocks[0], *pattern), shape=shape), bsr_array((blocks[1], *pattern), shape=shape).T
+                yield row
+
+        # the blocks of Lt and of M^T in the paths' row order, each depth's
+        # rows written in place as they are made
+        lt, mt = np.empty((paths.columns.size, 2, 2)), np.empty((paths.columns.size, 2, 2))
+        at = 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            for row in depths():
+                count, size = row.shape[0], row.shape[0] * row.shape[2]
+                lt[at : at + size].reshape(count, -1, 2, 2)[:] = row[..., :2].transpose(0, 2, 1, 3)
+                mt[at : at + size].reshape(count, -1, 2, 2)[:] = row[..., 2:].transpose(0, 2, 1, 3)
+                at += size
+        pattern, shape = (paths.columns, paths.indptr), (2 * self.partials.plan.k,) * 2
+        return bsr_array((lt, *pattern), shape=shape), bsr_array((mt, *pattern), shape=shape).T
 
 
 def _inverse2(blocks: np.ndarray) -> np.ndarray:
@@ -310,24 +330,24 @@ def _dense_component(partials: SecondPartials, members: np.ndarray) -> np.ndarra
     return blocks.transpose(0, 2, 1, 3).reshape(2 * members.size, 2 * members.size)
 
 
-def _lanczos_extremes(factor: _BlockFactor, members: np.ndarray) -> tuple[float, float]:
-    """The smallest and largest eigenvalue of the Hessian on the Steiner points
-    ``members`` of one component, from Lanczos (ARPACK).
-
-    The largest comes from products with H, the smallest as the reciprocal
-    of the largest eigenvalue of H^-1 applied through the factor's
-    ``inverse_factors``. H is block diagonal over the components, so both
-    act on a vector that is zero off the component. Both runs start from one fixed vector, so that
+def _largest_eigenvalue(apply, points: np.ndarray, k: int) -> float:
+    """The largest eigenvalue, by Lanczos (ARPACK), of the symmetric map
+    ``apply`` of length-2k vectors on the rows of the Steiner points
+    ``points``: it acts on a vector that is zero off them. A run on all k
+    points needs no scatter, since its eigenvalues do not depend on their
+    order. Every run starts from one fixed vector with ``tol=0``, so that
     equal inputs give equal bits.
     """
     # imported on first use, like scipy.sparse in SecondPartials.hessian
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    k = factor.partials.plan.k
-    size = 2 * members.size
+    size = 2 * points.size
+    if points.size == k:
 
-    def on_component(apply, points: np.ndarray) -> LinearOperator:
-        """``apply`` on the rows of ``points``, the members in the numbering ``apply`` uses."""
+        def matvec(v: np.ndarray) -> np.ndarray:
+            return apply(v.reshape(-1))
+
+    else:
         rows = (2 * points[:, None] + np.arange(2)).reshape(-1)
 
         def matvec(v: np.ndarray) -> np.ndarray:
@@ -335,16 +355,31 @@ def _lanczos_extremes(factor: _BlockFactor, members: np.ndarray) -> tuple[float,
             full[rows] = v.reshape(-1)
             return apply(full)[rows]
 
-        return LinearOperator((size, size), matvec=matvec, dtype=float)
-
     start = np.random.default_rng(0).standard_normal(size)
-    hessian = factor.partials.hessian
-    largest = eigsh(on_component(hessian.dot, members), k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
-    lt, m = factor.inverse_factors
-    position = factor.partials.plan.forest.paths.position
-    solve = on_component(lambda v: lt @ (m @ v), position[members])
-    inverse = eigsh(solve, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)
-    return float(1.0 / inverse[0]), float(largest[0])
+    operator = LinearOperator((size, size), matvec=matvec, dtype=float)
+    return float(eigsh(operator, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
+
+
+def _lanczos_extremes(factor: _BlockFactor, members: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest eigenvalue of the Hessian on the Steiner points
+    ``members`` of one component, from Lanczos.
+
+    The largest comes from products with H, the smallest as the reciprocal
+    of the largest eigenvalue of H^-1. H is block diagonal over the
+    components, so both act on a vector that is zero off the component.
+    H^-1 is applied through the factor's ``inverse_factors`` when they hold
+    at most ``_INVERSE_BLOCKS_PER_POINT`` blocks per Steiner point, and by
+    the level-by-level solve otherwise.
+    """
+    plan = factor.partials.plan
+    k, forest = plan.k, plan.forest
+    largest = _largest_eigenvalue(factor.partials.hessian.dot, members, k)
+    if forest.path_blocks <= _INVERSE_BLOCKS_PER_POINT * k:
+        lt, m = factor.inverse_factors
+        inverse = _largest_eigenvalue(lambda v: lt @ (m @ v), forest.paths.position[members], k)
+    else:
+        inverse = _largest_eigenvalue(lambda v: factor.solve(v.reshape(k, 2, 1)).reshape(-1), members, k)
+    return 1.0 / inverse, largest
 
 
 def _component_spectrum(factor: _BlockFactor, members: np.ndarray) -> tuple[float, float, str | None]:

@@ -99,6 +99,13 @@ class SteinerForest:
         """Every Steiner point's path to its root, built on first use."""
         return _build_paths(self.roots, self.levels)
 
+    @property
+    def path_blocks(self) -> int:
+        """The sum over the Steiner points of their depth + 1: the size of
+        :attr:`paths`, counted from the levels without building it."""
+        sizes = [self.roots.size] + [child.size for child, _, _ in reversed(self.levels)]
+        return int(np.dot(np.arange(1, len(sizes) + 1), sizes))
+
 
 @dataclass(frozen=True, eq=False)
 class AncestorPaths:
@@ -106,18 +113,17 @@ class AncestorPaths:
     component: the block pattern of the inverse of the unit factor that
     eliminates each component from its leaves.
 
-    ``order`` numbers the Steiner points from the roots down: the roots,
+    ``position`` numbers the Steiner points from the roots down: the roots,
     then the points of depth 1, 2, ..., each depth in the order of its
-    forest level; ``position`` inverts it. ``parents[d]`` holds, for the
-    points of depth ``d + 1``, their parents' indices among the points of
-    depth ``d``. In those positions, row ``r`` of the pattern is
-    ``columns[indptr[r]:indptr[r + 1]]``: the point itself, its parent, and
-    so on up to its root, ``depth + 1`` entries. A component has the sum of
-    its points' ``depth + 1`` entries, about k^2 / 4 on a path of k points
-    rooted at its centre.
+    forest level (``position[i]`` is Steiner point ``i``'s number).
+    ``parents[d]`` holds, for the points of depth ``d + 1``, their parents'
+    indices among the points of depth ``d``. In those positions, row ``r``
+    of the pattern is ``columns[indptr[r]:indptr[r + 1]]``: the point
+    itself, its parent, and so on up to its root, ``depth + 1`` entries. A
+    component has the sum of its points' ``depth + 1`` entries, about
+    k^2 / 4 on a path of k points rooted at its centre.
     """
 
-    order: np.ndarray
     position: np.ndarray
     parents: tuple[np.ndarray, ...]
     columns: np.ndarray
@@ -137,7 +143,6 @@ def _build_paths(roots: np.ndarray, forest_levels: tuple[tuple[np.ndarray, ...],
         rows.append(np.column_stack((position[child], rows[-1][above])))
     lengths = np.repeat(np.arange(1, len(groups) + 1), [g.size for g in groups])
     return AncestorPaths(
-        order=_frozen_array(order, np.intp),
         position=_frozen_array(position, np.intp),
         parents=tuple(parents),
         columns=_frozen_array(np.concatenate([r.reshape(-1) for r in rows]), np.intp),

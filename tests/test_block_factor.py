@@ -272,7 +272,7 @@ def inverse_times(tree: SteinerTree, x: np.ndarray) -> np.ndarray:
     factors, which work in the forest's root-down numbering."""
     factor = adaptation._evaluate(tree).factor
     lt, m = factor.inverse_factors
-    order = tree.topology.plan.forest.paths.order
+    order = np.argsort(tree.topology.plan.forest.paths.position)
     y = np.empty_like(x)
     y[order] = (lt @ (m @ x[order].reshape(2 * tree.k, -1))).reshape(x.shape)
     return y
@@ -303,7 +303,7 @@ class TestInverseFactors:
         factor = adaptation._evaluate(tree).factor
         lt, m = factor.inverse_factors
         assert lt.blocksize == m.blocksize == (2, 2)
-        assert lt.data.shape[0] == m.data.shape[0] == path_blocks(tree)
+        assert lt.data.shape[0] == m.data.shape[0] == path_blocks(tree) == tree.topology.plan.forest.path_blocks
         x = np.random.default_rng(0).standard_normal((tree.k, 2, 3))
         solved = factor.solve(x)
         assert np.linalg.norm(inverse_times(tree, x) - solved) <= 1e-13 * np.linalg.norm(solved)
@@ -337,3 +337,18 @@ class TestInverseFactors:
         x[good] = np.random.default_rng(2).standard_normal((good.size, 2, 1))
         solved = factor.solve(x)[good]
         assert np.linalg.norm(inverse_times(tree, x)[good] - solved) <= 1e-13 * np.linalg.norm(solved)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_either_side_of_the_block_limit_gives_the_same_spectrum(self, monkeypatch, sparse):
+        # a k = 340 caterpillar has about 85 blocks per point: set the limit
+        # just at or just below that, so the λmin run takes either path
+        tree = caterpillar_tree(np.random.default_rng(343).uniform(0.3, 1.5, 341))
+        forest = tree.topology.plan.forest
+        blocks = forest.path_blocks
+        limit = -(-blocks // tree.k) if sparse else (blocks - 1) // tree.k
+        monkeypatch.setattr(adaptation, "_INVERSE_BLOCKS_PER_POINT", limit)
+        evaluation = adaptation._evaluate(tree)
+        assert ("inverse_factors" in evaluation.factor.__dict__) == ("paths" in forest.__dict__) == sparse
+        assert evaluation.error is None
+        condition = evaluation.health.hessian_condition
+        assert condition == pytest.approx(edge_factor_condition(tree), rel=1e-12)

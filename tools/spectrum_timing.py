@@ -2,31 +2,36 @@
 
 Usage (from the root of any checkout):
 
-    python3 tools/spectrum_timing.py [--repeats 7]
+    python3 tools/spectrum_timing.py
 
 The script imports the ``src/`` next to it, pins every BLAS pool to one
 thread before numpy loads, and needs no network. For 120-degree grown trees
 (``bench/corpus.grown_tree``, the trees of the ``adapt-large`` workload,
-``default_rng([k, 0])``) with k = 80 to 398 and for a caterpillar with
-k = 398 (``tests/conftest.caterpillar_tree``), each a single component, it
-prints the median milliseconds of:
+``default_rng([k, 0])``) with k = 80 to 398 and for caterpillars
+(``tests/conftest.caterpillar_tree``) with k = 398 to 1598, each a single
+component, it prints the number of 2x2 blocks in the factor's sparse H^-1
+(``blocks``, the sum of depth + 1 over the points), that number per point,
+and the median milliseconds over ``REPEATS`` repeats of:
 
 - ``dense``: the dense spectrum, the component's dense Hessian and its
-  ``eigvalsh``, which components of at most ``_DENSE_SPECTRUM_MAX`` rows get;
+  ``eigvalsh``, which components of at most ``_DENSE_SPECTRUM_MAX`` rows get
+  (timed up to k = 398 only: above that it takes seconds and hundreds of MB);
 - ``λmax``: the Lanczos run for the largest eigenvalue, including the
   sparse Hessian it multiplies by;
 - ``build``: building the factor's two sparse inverse factors;
 - ``λmin``: the Lanczos run for the smallest eigenvalue through them;
-- ``λmin loop``: the same run through the level-by-level ``_BlockFactor.solve``
-  instead, for comparison;
-- ``lanczos``: λmax + build + λmin, what a component above the threshold
-  pays, and ``dense / lanczos``.
+- ``λmin loop``: the same run through the level-by-level
+  ``_BlockFactor.solve`` instead;
+- ``lanczos``: what a component above ``_DENSE_SPECTRUM_MAX`` rows pays,
+  λmax plus the λmin path that ``_INVERSE_BLOCKS_PER_POINT`` picks (named in
+  the ``H^-1`` column: ``sparse`` for build + λmin, ``loop`` for λmin loop),
+  and ``dense / lanczos``.
 
 Each repeat starts from a fresh factor, so that no cached operator is
-reused. ``--repeats`` sets how many timed repeats each median takes.
+reused. All Lanczos runs go through ``adaptation._largest_eigenvalue``, the
+run that the library makes.
 """
 
-import argparse
 import os
 import statistics
 import sys
@@ -39,31 +44,16 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
-from scipy.sparse.linalg import LinearOperator, eigsh  # noqa: E402
 
 import corpus  # noqa: E402
 from conftest import caterpillar_tree  # noqa: E402
 from steineradapt import adaptation  # noqa: E402
 
 GROWN = (80, 100, 120, 140, 160, 240, 398)
+CATERPILLARS = (398, 798, 1198, 1598)
+DENSE_MAX_K = 398
+REPEATS = 7
 COLUMNS = ("dense", "λmax", "build", "λmin", "λmin loop", "lanczos", "dense / lanczos")
-
-
-def largest_eigenvalue(apply, rows: np.ndarray, k: int) -> float:
-    """The Lanczos run of ``adaptation._lanczos_extremes``: ``apply`` on the rows ``rows``."""
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        full = np.zeros(2 * k)
-        full[rows] = v.reshape(-1)
-        return apply(full)[rows]
-
-    start = np.random.default_rng(0).standard_normal(rows.size)
-    operator = LinearOperator((rows.size, rows.size), matvec=matvec, dtype=float)
-    return float(eigsh(operator, k=1, which="LA", v0=start, tol=0, return_eigenvectors=False)[0])
-
-
-def rows_of(points: np.ndarray) -> np.ndarray:
-    return (2 * points[:, None] + np.arange(2)).reshape(-1)
 
 
 def seconds(run) -> float:
@@ -72,46 +62,53 @@ def seconds(run) -> float:
     return time.perf_counter() - started
 
 
-def time_tree(tree, repeats: int) -> dict[str, float]:
+def time_tree(tree) -> tuple[dict[str, float], bool]:
+    """The medians of one tree, and whether the library applies H^-1 through the sparse factors."""
     k = tree.k
     members = np.arange(k)
-    position = tree.topology.plan.forest.paths.position
-    times: dict[str, list[float]] = {name: [] for name in COLUMNS[:5]}
-    for repeat in range(repeats + 1):  # the first round warms up and is dropped
+    forest = tree.topology.plan.forest
+    sparse = forest.path_blocks <= adaptation._INVERSE_BLOCKS_PER_POINT * k
+    times: dict[str, list[float]] = {name: [] for name in COLUMNS[:5] if name != "dense" or k <= DENSE_MAX_K}
+    for repeat in range(REPEATS + 1):  # the first round warms up and is dropped
         factor = adaptation._evaluate(tree).factor
         partials = factor.partials
         partials.__dict__.pop("hessian", None)
         factor.__dict__.pop("inverse_factors", None)
         sample = {
-            "dense": seconds(lambda: np.linalg.eigvalsh(adaptation._dense_component(partials, members))),
-            "λmax": seconds(lambda: largest_eigenvalue(partials.hessian.dot, rows_of(members), k)),
+            "λmax": seconds(lambda: adaptation._largest_eigenvalue(partials.hessian.dot, members, k)),
             "build": seconds(lambda: factor.inverse_factors),
         }
+        if "dense" in times:
+            sample["dense"] = seconds(lambda: np.linalg.eigvalsh(adaptation._dense_component(partials, members)))
         lt, m = factor.inverse_factors
-        sample["λmin"] = seconds(lambda: largest_eigenvalue(lambda v: lt @ (m @ v), rows_of(position[members]), k))
+        sample["λmin"] = seconds(lambda: adaptation._largest_eigenvalue(lambda v: lt @ (m @ v), members, k))
         solve = lambda v: factor.solve(v.reshape(k, 2, 1)).reshape(-1)  # noqa: E731
-        sample["λmin loop"] = seconds(lambda: largest_eigenvalue(solve, rows_of(members), k))
+        sample["λmin loop"] = seconds(lambda: adaptation._largest_eigenvalue(solve, members, k))
+        del factor, partials, lt, m
         if repeat:
             for name, value in sample.items():
                 times[name].append(value)
     medians = {name: 1e3 * statistics.median(values) for name, values in times.items()}
-    medians["lanczos"] = medians["λmax"] + medians["build"] + medians["λmin"]
-    medians["dense / lanczos"] = medians["dense"] / medians["lanczos"]
-    return medians
+    medians["lanczos"] = medians["λmax"] + (medians["build"] + medians["λmin"] if sparse else medians["λmin loop"])
+    if "dense" in medians:
+        medians["dense / lanczos"] = medians["dense"] / medians["lanczos"]
+    return medians, sparse
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7, help="timed repeats per median (default 7)")
-    args = parser.parse_args()
     cases = [(f"grown k={k}", corpus.grown_tree(np.random.default_rng([k, 0]), k)) for k in GROWN]
-    cases.append(("caterpillar k=398", caterpillar_tree(np.random.default_rng([398, 1]).uniform(0.3, 1.5, 399))))
-    print(f"{'tree':<18} {'blocks':>7}" + "".join(f" {name:>15}" for name in COLUMNS))
+    cases += [
+        (f"caterpillar k={k}", caterpillar_tree(np.random.default_rng([k, 1]).uniform(0.3, 1.5, k + 1)))
+        for k in CATERPILLARS
+    ]
+    print(f"{'tree':<19} {'blocks':>7} {'per point':>9} {'H^-1':>6}" + "".join(f" {name:>15}" for name in COLUMNS))
     for label, tree in cases:
-        medians = time_tree(tree, args.repeats)
-        blocks = tree.topology.plan.forest.paths.columns.size
-        print(f"{label:<18} {blocks:>7}" + "".join(f" {medians[name]:>15.3f}" for name in COLUMNS), flush=True)
-    print("milliseconds, median of", args.repeats, "repeats; one BLAS thread")
+        medians, sparse = time_tree(tree)
+        blocks = tree.topology.plan.forest.path_blocks
+        cells = "".join(f" {medians[name]:>15.3f}" if name in medians else f" {'-':>15}" for name in COLUMNS)
+        kind = "sparse" if sparse else "loop"
+        print(f"{label:<19} {blocks:>7} {blocks / tree.k:>9.1f} {kind:>6}" + cells, flush=True)
+    print(f"milliseconds, median of {REPEATS} repeats; one BLAS thread")
 
 
 if __name__ == "__main__":
