@@ -40,20 +40,21 @@ _PD_RTOL = 1e-12
 _SOLVE_RTOL = 1e-10
 # Most Hessian rows (2 per Steiner point) of a Steiner-forest component
 # whose extreme eigenvalues come from a dense eigvalsh; a larger component
-# gets Lanczos. On the grown trees of k = 120 to 240 Lanczos pays 4-6 ms:
-# about 2.5-4.5 ms for the λmax run, 0.4-0.7 ms to build the inverse
-# factors and 0.9-1.9 ms for the λmin run. The O(k^3) eigvalsh overtakes
-# it at about k = 130 (tools/spectrum_timing.py, 2-core Xeon, one BLAS
-# thread), within a quarter of the k = 160 that this threshold was set
-# for, so it stays. ARPACK could not run on the smallest matrices anyway.
+# gets Lanczos. On the grown trees of k = 120 to 240 Lanczos pays 3-5 ms:
+# 1.4-3.1 ms for the λmax run, 0.3-0.45 ms to build the inverse factors
+# and 0.9-1.4 ms for the λmin run. The O(k^3) eigvalsh overtakes it at
+# about k = 130 (tools/spectrum_timing.py, 2-core Xeon, one BLAS thread),
+# within a quarter of the k = 160 that this threshold was set for, so it
+# stays. ARPACK could not run on the smallest matrices anyway.
 _DENSE_SPECTRUM_MAX = 320
 # Most 2x2 blocks per Steiner point (the mean depth in the Steiner forest,
 # plus one) for which the λmin Lanczos run applies H^-1 through the
 # factor's cached inverse_factors rather than level-by-level solves. Their
-# build peaks at about 130 bytes per block, so this caps it near 17 kB per
-# Steiner point. On caterpillars (tools/spectrum_timing.py, 2-core Xeon,
-# one BLAS thread) build plus run cost 14 ms against 50 ms by solves at
-# 100 blocks per point (k = 398), and draw level at about 400 (k = 1598).
+# build peaks at about 130 bytes per block, the forest's paths included, so
+# this caps it near 17 kB per Steiner point. On caterpillars (tools/spectrum_timing.py, 2-core Xeon,
+# one BLAS thread) build plus run cost 12-14 ms against 45-52 ms by solves
+# at 100 blocks per point (k = 398), 47-51 against 94-107 ms at 200, and
+# draw level at about 400 (k = 1598).
 _INVERSE_BLOCKS_PER_POINT = 128
 # Newton steps a corrected step makes before it hands its last accepted
 # iterate to exact.optimize_fixed_topology.
@@ -220,12 +221,12 @@ class _BlockFactor:
         ``_INVERSE_BLOCKS_PER_POINT`` blocks per point. The build peaks at
         about 104 bytes per block and keeps 72. Row j of ``Lt`` is the
         identity at j followed by ``-multiplier[j]`` times the row of j's
-        parent, so the rows take one
-        batched product per level, from the roots down; the same products
-        carry each block times its column's pivot inverse, which are ``M``'s
-        blocks transposed. A product with H^-1 is then two compiled sparse
-        products with no Python loop. A component with a singular pivot
-        fills only its own rows with inf and nan.
+        parent, so the rows take one batched product per level, from the
+        roots down; the same products carry each block times its column's
+        pivot inverse, which are ``M``'s blocks transposed. A product with
+        H^-1 is then two compiled sparse products with no Python loop. A
+        component with a singular pivot fills only its own rows with inf and
+        nan.
         """
         from scipy.sparse import bsr_array
 
