@@ -624,11 +624,12 @@ def adapt_stepwise(tree: SteinerTree, p: Perturbation, policy: StepPolicy | None
         policy = StepPolicy()
     _check_perturbation(tree, p)
 
-    start = _evaluate(tree)
-    min_edge_floor = policy.min_edge_fraction * start.health.min_edge_length
-    status = _status(start.health, min_edge_floor, policy.condition_limit)
+    current = _evaluate(tree)
+    # read out so that the first evaluation (its factor and sparse forms) is dropped after step 1
+    initial_health, initial_length = current.health, float(current.lengths.sum())
+    min_edge_floor = policy.min_edge_fraction * initial_health.min_edge_length
+    status = _status(initial_health, min_edge_floor, policy.condition_limit)
     records: list[StepRecord] = []
-    current = start
     total = np.array(p.delta_t, dtype=float)
     # `applied` is accumulated with the same operation order the report's
     # applied_delta_t property uses, so a completed run sums exactly.
@@ -659,8 +660,8 @@ def adapt_stepwise(tree: SteinerTree, p: Perturbation, policy: StepPolicy | None
 
     return AdaptationReport(
         initial_tree=tree,
-        initial_health=start.health,
-        initial_length=float(start.lengths.sum()),
+        initial_health=initial_health,
+        initial_length=initial_length,
         steps=tuple(records),
         final_tree=current.tree,
         status=status,

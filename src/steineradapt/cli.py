@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import documents, exact
@@ -169,7 +168,7 @@ def _cmd_derivatives(args) -> int:
         "mixed_ts": mixed_ts(tree).to_dense().tolist(),
         "sensitivity": sensitivity_matrix(tree).tolist(),
     }
-    _write(args.out, json.dumps(payload, indent=2) + "\n")
+    _write(args.out, documents._dump(payload))
     return 0
 
 

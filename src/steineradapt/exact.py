@@ -33,7 +33,6 @@ from .trees import (
     SteinerTree,
     adjacency,
     check_geometric_conditions,
-    edge_vectors,
     tree_length,
     validate_topology,
 )
@@ -74,8 +73,9 @@ class ExactSolveResult:
     """Best tree over all topologies, with every co-optimal tree reported.
 
     ``ties`` holds all optima within the tie tolerance ordered by their
-    canonical topology encoding; ``tree`` is ``ties[0]``. A single-element
-    ``ties`` means the optimum is unique.
+    canonical topology encoding, of each encoding the shortest and then the
+    one from the first full topology by encoding; ``tree`` is ``ties[0]``.
+    A single-element ``ties`` means the optimum is unique.
 
     The search counts its work: ``minimized`` full topologies were
     optimized, ``bounded`` partial topologies were optimized from a cold
@@ -144,11 +144,15 @@ def _frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
+def _steiner_pairs(n: int, pairs) -> list[tuple[int, int]]:
+    """The pairs that touch a Steiner point as (low, high), sorted: the rows of :func:`_network`."""
+    return sorted((min(p), max(p)) for p in pairs if max(p) >= n)
+
+
 def _network(t: np.ndarray, k: int, pairs) -> tuple[np.ndarray, np.ndarray]:
     """(A, c) over the pairs that touch a Steiner point, in sorted order as in ``EdgePlan.steiner_edges``."""
     n = len(t)
-    ends = sorted((min(p), max(p)) for p in pairs if max(p) >= n)
-    tail, head = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    tail, head = np.array(_steiner_pairs(n, pairs), dtype=np.intp).reshape(-1, 2).T
     rows = np.arange(len(tail))
     A = np.zeros((len(tail), k))
     c = np.zeros((len(tail), 2))
@@ -410,19 +414,18 @@ def enumerate_full_topologies(n: int) -> list[SteinerTopology]:
     return list(_full_topologies(n))
 
 
+def _insertions(edges: list[tuple[int, int]], term: int, fresh: int) -> list[list[tuple[int, int]]]:
+    """Each edge list made from ``edges`` by inserting terminal ``term`` into one
+    edge through the new Steiner point ``fresh``, in the order of the edges."""
+    return [edges[:pos] + edges[pos + 1 :] + [(a, fresh), (fresh, b), (term, fresh)] for pos, (a, b) in enumerate(edges)]
+
+
 @functools.cache
 def _full_topologies(n: int) -> tuple[SteinerTopology, ...]:
     # edges as node pairs in the plan's stacked ids: terminal j is j, Steiner point i is n + i
     states = [[(0, n), (1, n), (2, n)]]
     for term in range(3, n):
-        fresh = n + term - 2
-        grown = []
-        for edges in states:
-            for pos in range(len(edges)):
-                a, b = edges[pos]
-                rest = edges[:pos] + edges[pos + 1 :]
-                grown.append(rest + [(a, fresh), (fresh, b), (term, fresh)])
-        states = grown
+        states = [grown for edges in states for grown in _insertions(edges, term, n + term - 2)]
     return tuple(SteinerTopology.from_node_pairs(n, n - 2, edges) for edges in states)
 
 
@@ -484,13 +487,11 @@ def _seed_positions(A: np.ndarray, c: np.ndarray, salt: int) -> np.ndarray:
     return base + rng.normal(scale=1e-3, size=base.shape)
 
 
-def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree | None:
-    """Merge the endpoints of edges no longer than the collapse length and
-    rewire; None if the result is not a valid tree."""
-    topo = tree.topology
-    n, k = topo.n, topo.k
-    ends = topo.plan.node_pairs()
-    total = n + k
+def _contract_collapsed(t: np.ndarray, s: np.ndarray, ends, lengths: np.ndarray) -> SteinerTree | None:
+    """Merge the endpoints of edges no longer than the collapse length and rewire, for the tree on
+    terminals ``t``, Steiner points ``s`` and node pairs ``ends``; None if the result is not a valid tree."""
+    n = len(t)
+    total = n + len(s)
     parent = list(range(total))
 
     def find(x: int) -> int:
@@ -525,20 +526,13 @@ def _contract_collapsed(tree: SteinerTree, lengths: np.ndarray) -> SteinerTree |
     reduced = SteinerTopology.from_node_pairs(n, len(new_steiner_reps), pairs)
     if not validate_topology(reduced).ok:
         return None
-    s_new = tree.steiner_positions[[rep - n for rep in new_steiner_reps]]
-    return SteinerTree.from_arrays(reduced, tree.terminal_positions, s_new)
+    return SteinerTree.from_arrays(reduced, t, s[[rep - n for rep in new_steiner_reps]])
 
 
 # ---------------------------------------------------------------------------
 # Branch and bound over terminal insertions (W. D. Smith, "How to find Steiner
 # minimal trees in Euclidean d-space", Algorithmica 7, 1992)
 # ---------------------------------------------------------------------------
-
-
-@functools.cache
-def _full_topology_index(n: int) -> dict[str, int]:
-    """Each full topology's position in ``_full_topologies(n)``, by canonical encoding."""
-    return {canonical_encoding(topo): i for i, topo in enumerate(_full_topologies(n))}
 
 
 def _insertion_order(d: np.ndarray) -> list[int]:
@@ -577,6 +571,8 @@ class _Search:
     ``j`` and the Steiner point added with the terminal inserted ``j``-th is
     ``n + j - 2``, so the Steiner point's index is its column in the network
     and its row in the positions. Everything is in the frame of :func:`_frame`.
+    A leaf minimizes the network its parent built, from the salt-0 seed like
+    a bound, and keeps ``(pairs, positions, network length, reduced tree or None)``.
     """
 
     t: np.ndarray
@@ -584,7 +580,7 @@ class _Search:
     grad_tol: float
     max_iterations: int
     incumbent: float
-    candidates: list[tuple[int, float, SteinerTree]] = field(default_factory=list)
+    candidates: list[tuple[list[tuple[int, int]], np.ndarray, float, SteinerTree | None]] = field(default_factory=list)
     minimized: int = 0
     bounded: int = 0
     pruned: int = 0
@@ -594,12 +590,12 @@ class _Search:
     def visit(self, edges: list[tuple[int, int]], s: np.ndarray) -> None:
         n = len(self.t)
         m = len(edges) // 2 + 2  # terminals inserted
-        if m == n:
-            self.leaf(edges)
+        if m == n:  # only the root of a three-terminal solve
+            self.leaf(edges, *_network(self.t, n - 2, edges))
             return
         fresh, term = n + m - 2, self.order[m]
         below = math.prod(2 * j - 3 for j in range(m + 1, n))  # full topologies under each child
-        grown = [edges[:pos] + edges[pos + 1 :] + [(a, fresh), (fresh, b), (term, fresh)] for pos, (a, b) in enumerate(edges)]
+        grown = _insertions(edges, term, fresh)
         # every child's network has the same shape, so their certificates run stacked
         A, c = map(np.stack, zip(*(_network(self.t, m - 1, pairs) for pairs in grown)))
         starts = [np.vstack((s, sum(self.t[x] if x < n else s[x - n] for x in (a, b, term)) / 3.0)) for a, b in edges]
@@ -611,7 +607,7 @@ class _Search:
                 self.certified += 1
                 self.pruned += below
             elif m + 1 == n:
-                self.leaf(pairs)
+                self.leaf(pairs, A[pos], c[pos])
             else:
                 bound, s_child, converged = self.bound(A[pos], c[pos])
                 if s_child is None:  # ruled out by its own dual bound while minimized
@@ -633,11 +629,11 @@ class _Search:
         during its minimization, never above the node's optimum. A full
         topology's optimum is at least its ancestors' optima: deleting a leaf
         terminal and suppressing its Steiner point never lengthens a tree.
-        A candidate's reduced length leaves out its collapsed edges, at most
-        2n - 3 of at most _COLLAPSE_LEN each, and the incumbent never falls
+        A candidate's length is its network's, and the incumbent never falls
         below the final best. So every topology whose candidate lands within
-        best + tie_tol has all its bounds at or below this cut and is
-        reached; ``ties`` stays complete and the winner is the exhaustive solve's.
+        best + tie_tol has all its bounds at or below this cut (2n - 3
+        collapse lengths of slack included) and is reached; ``ties`` stays
+        complete and the winner is the exhaustive solve's.
         """
         return self.incumbent + 1e-9 * max(1.0, self.incumbent) + (2 * len(self.t) - 3) * _COLLAPSE_LEN
 
@@ -651,14 +647,9 @@ class _Search:
         u = A @ s + c
         return float(np.hypot(u[:, 0], u[:, 1]).sum()), s, converged
 
-    def leaf(self, edges: list[tuple[int, int]]) -> None:
-        """Minimize a full topology from the cold start of its enumeration index
-        ``i`` and merge its node coincidences; the same work for every search order."""
-        n = len(self.t)
-        i = _full_topology_index(n)[_encode(n, n - 2, edges)]
-        topo = _full_topologies(n)[i]
-        A, c = _network(self.t, n - 2, topo.plan.node_pairs())
-        s, _, _, converged = _minimize(A, c, _seed_positions(A, c, i), self.grad_tol, self.max_iterations, self.cut())
+    def leaf(self, pairs: list[tuple[int, int]], A: np.ndarray, c: np.ndarray) -> None:
+        """Minimize a full topology's network (A, c) from the same cold start as a bound and merge its node coincidences."""
+        s, _, _, converged = _minimize(A, c, _seed_positions(A, c, 0), self.grad_tol, self.max_iterations, self.cut())
         if s is None:
             self.certified += 1
             self.pruned += 1
@@ -667,14 +658,15 @@ class _Search:
         if not converged:
             self.unconverged += 1
             return
-        tree = SteinerTree.from_arrays(topo, self.t, s)
-        lengths = edge_vectors(tree)[1]
+        u = A @ s + c
+        lengths = np.hypot(u[:, 0], u[:, 1])
+        reduced = None
         if lengths.min() <= _COLLAPSE_LEN:
-            tree = _contract_collapsed(tree, lengths)
-            if tree is None:
+            reduced = _contract_collapsed(self.t, s, _steiner_pairs(len(self.t), pairs), lengths)
+            if reduced is None:
                 return
-        length = tree_length(tree)
-        self.candidates.append((i, length, tree))
+        length = float(lengths.sum())
+        self.candidates.append((pairs, s, length, reduced))
         self.incumbent = min(self.incumbent, length)
 
 
@@ -682,12 +674,13 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
     """Shortest interconnecting tree over 2 to 6 pairwise-distinct terminals.
 
     Searches the full topologies by branch and bound over terminal
-    insertions, optimizes every full topology the bounds cannot rule out,
-    merges any node coincidences at the per-topology optima into valid
-    reduced trees, and returns the shortest. Co-optimal trees (within a
-    1e-9 relative tie tolerance) are all reported, ordered by canonical
-    topology encoding. The result equals, bit for bit, that of optimizing
-    every full topology.
+    insertions, optimizes every full topology the bounds cannot rule out
+    from one seeded cold start, merges any node coincidences at the
+    per-topology optima into valid reduced trees, and returns the shortest.
+    Co-optimal trees (within a 1e-9 relative tie tolerance) are all
+    reported, as :class:`ExactSolveResult` orders them. Only the trees it
+    may return get a topology, never the table of full topologies. The
+    result equals, bit for bit, that of optimizing every full topology.
 
     Raises:
         ValueError: terminals not a finite (m, 2) array, terminal count
@@ -713,23 +706,27 @@ def solve_exact(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000
     tf, centre, scale = _frame(t)
     order = _insertion_order(d)
     search = _Search(tf, order, grad_tol, max_iterations, incumbent=_mst_length(d) / scale)
-    # the three-terminal root is never pruned, so it is never minimized
+    # the three-terminal root is never pruned; it is minimized only as the leaf of a three-terminal solve
     search.visit([(order[0], n), (order[1], n), (order[2], n)], tf[order[:3]].mean(axis=0, keepdims=True))
 
     if not search.candidates:
         raise ConvergenceError("no topology produced a valid optimum")
-    best = min(length for _, length, _ in search.candidates)
+    best = min(length for _, _, length, _ in search.candidates)
     tie_tol = 1e-9 * max(1.0, best)
-    # one tree per encoding: the shortest, and of equal ones the first enumerated
-    near = [(i, length, tr) for i, length, tr in search.candidates if length <= best + tie_tol]
-    pool = sorted((canonical_encoding(tr.topology), length, i, tr) for i, length, tr in near)
-    deduped = [item for j, item in enumerate(pool) if j == 0 or pool[j - 1][0] != item[0]]
+    # one tree per encoding: the shortest, and of equal ones that of the first full topology by encoding
+    near = []
+    for pairs, s, length, tree in search.candidates:
+        if length <= best + tie_tol:
+            tree = SteinerTree.from_arrays(SteinerTopology.from_node_pairs(n, n - 2, pairs), tf, s) if tree is None else tree
+            near.append((canonical_encoding(tree.topology), length, _encode(n, n - 2, pairs), tree))
+    near.sort(key=lambda item: item[:3])
+    deduped = [tree for j, (code, *_, tree) in enumerate(near) if j == 0 or near[j - 1][0] != code]
 
-    winner = deduped[0][3]
+    winner = deduped[0]
     report = check_geometric_conditions(winner, angle_tol=1e-6)
     if not (validate_topology(winner.topology).ok and report.satisfies_angle_condition):
         raise ConvergenceError("exact solve produced a tree failing its own validity checks")
-    ties = tuple(SteinerTree.from_arrays(tr.topology, t, tr.steiner_positions * scale + centre) for *_, tr in deduped)
+    ties = tuple(SteinerTree.from_arrays(tr.topology, t, tr.steiner_positions * scale + centre) for tr in deduped)
     return ExactSolveResult(
         tree=ties[0],
         length=tree_length(ties[0]),

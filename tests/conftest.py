@@ -244,10 +244,14 @@ def random_valid_tree(rng: np.random.Generator, n: int, min_edge: float = 0.05) 
 def exhaustive_solve(terminals, grad_tol: float = 1e-10, max_iterations: int = 50_000) -> ExactSolveResult:
     """``solve_exact`` by minimizing every full topology, 3 <= n <= 6.
 
-    Each topology is minimized from its seeded cold start, with its
-    enumeration index as the seed's salt, and node coincidences are merged;
-    the shortest candidate wins and every candidate within the 1e-9
-    relative tie tolerance is a tie, one per canonical encoding. All of it
+    The full topologies are numbered as the search meets them: terminals are
+    inserted in ``exact._insertion_order``, so the enumeration's terminal
+    ``j`` becomes the ``j``-th inserted and the Steiner points keep their
+    numbers. Each is minimized from the salt-0 seeded cold start, node
+    coincidences are merged, and a candidate's length is its network's. The
+    shortest candidate wins and every candidate within the 1e-9 relative tie
+    tolerance is a tie, one per canonical encoding of its tree: the shortest,
+    and of equal ones the one whose full topology encodes first. All of it
     runs in the solver's frame (``exact._frame``), and the ties are mapped
     back onto the given terminals as ``s * scale + centre``. The
     branch-and-bound solve must return the same result bit for bit.
@@ -255,32 +259,32 @@ def exhaustive_solve(terminals, grad_tol: float = 1e-10, max_iterations: int = 5
     t = np.asarray(terminals, dtype=float)
     n = len(t)
     tf, centre, scale = exact._frame(t)
-    candidates: list[tuple[float, SteinerTree]] = []
+    order = exact._insertion_order(np.hypot(*np.moveaxis(t[:, None, :] - t[None, :, :], -1, 0)))
+    label = order + list(range(n, 2 * n - 2))
+    candidates = []
     unconverged = 0
-    for salt, topo in enumerate(enumerate_full_topologies(n)):
-        A, c = exact._network(tf, topo.k, topo.plan.node_pairs())
-        s0 = exact._seed_positions(A, c, salt)
-        s, _, _, converged = exact._minimize(A, c, s0, grad_tol, max_iterations)
+    for topo in enumerate_full_topologies(n):
+        pairs = [(label[a], label[b]) for a, b in topo.plan.node_pairs()]
+        A, c = exact._network(tf, n - 2, pairs)
+        s, _, _, converged = exact._minimize(A, c, exact._seed_positions(A, c, 0), grad_tol, max_iterations)
         if not converged:
             unconverged += 1
             continue
-        full_tree = SteinerTree.from_arrays(topo, tf, s)
+        full_tree = SteinerTree.from_arrays(SteinerTopology.from_node_pairs(n, n - 2, pairs), tf, s)
         lengths = edge_vectors(full_tree)[1]
+        tree = full_tree
         if lengths.min() <= exact._COLLAPSE_LEN:
-            reduced = exact._contract_collapsed(full_tree, lengths)
-            if reduced is not None:
-                candidates.append((tree_length(reduced), reduced))
-        else:
-            candidates.append((tree_length(full_tree), full_tree))
+            tree = exact._contract_collapsed(tf, s, full_tree.topology.plan.node_pairs(), lengths)
+        if tree is not None:
+            u = A @ s + c
+            length = float(np.hypot(u[:, 0], u[:, 1]).sum())
+            candidates.append((canonical_encoding(tree.topology), length, canonical_encoding(full_tree.topology), tree))
 
-    best = min(length for length, _ in candidates)
+    best = min(length for _, length, _, _ in candidates)
     tie_tol = 1e-9 * max(1.0, best)
-    pool = sorted(
-        ((canonical_encoding(tr.topology), length, tr) for length, tr in candidates if length <= best + tie_tol),
-        key=lambda item: (item[0], item[1]),
-    )
+    pool = sorted((item for item in candidates if item[1] <= best + tie_tol), key=lambda item: item[:3])
     deduped = [item for i, item in enumerate(pool) if i == 0 or pool[i - 1][0] != item[0]]
-    ties = tuple(SteinerTree.from_arrays(tr.topology, t, tr.steiner_positions * scale + centre) for _, _, tr in deduped)
+    ties = tuple(SteinerTree.from_arrays(tr.topology, t, tr.steiner_positions * scale + centre) for *_, tr in deduped)
     return ExactSolveResult(
         tree=ties[0],
         length=tree_length(ties[0]),

@@ -220,7 +220,9 @@ class TestDerivativesCommand:
     def test_dump_contents(self, tmp_path, example1_file):
         out = tmp_path / "derivatives.json"
         assert run_cli(["derivatives", "--instance", example1_file, "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")  # one compact line, like every document the CLI writes
+        payload = json.loads(text)
         assert payload["cost"] == pytest.approx(1.932, abs=3e-3)
         hess = np.array(payload["hessian_ss"])
         assert np.allclose(hess, [[2.898, -1.061], [-1.061, 2.898]], atol=2e-3)

@@ -96,17 +96,14 @@ class TestPairEncoding:
     @given(n=st.integers(4, 6), seed=st.integers(0, 2**32 - 1))
     def test_relabelled_reordered_and_reversed_pairs_find_their_topology(self, n, seed):
         # the search meets each full topology with its own Steiner numbering,
-        # pair order and orientation, and must still find its enumeration index
+        # pair order and orientation, and its ties must still sort by the topology's encoding
         rng = np.random.default_rng(seed)
-        index = exact._full_topology_index(n)
-        for i, topology in enumerate(enumerate_full_topologies(n)):
+        for topology in enumerate_full_topologies(n):
             relabel = np.concatenate((np.arange(n), n + rng.permutation(n - 2)))
             pairs = [(int(relabel[a]), int(relabel[b])) for a, b in topology.plan.node_pairs()]
             pairs = [pair[::-1] if flip else pair for pair, flip in zip(pairs, rng.integers(0, 2, len(pairs)))]
             pairs = [pairs[j] for j in rng.permutation(len(pairs))]
-            code = exact._encode(n, n - 2, pairs)
-            assert code == canonical_encoding(topology)
-            assert index[code] == i
+            assert exact._encode(n, n - 2, pairs) == canonical_encoding(topology)
 
 
 class TestOptimizeFixedTopology:
@@ -473,28 +470,37 @@ class TestBranchAndBound:
     def test_property_equal_to_exhaustive(self, terminals):
         assert_bitwise_equal(solve_exact(terminals), exhaustive_solve(terminals))
 
-    def test_search_builds_no_plan_but_for_the_reduced_trees(self, monkeypatch):
-        # the enumeration's plans are built once per process; warm them first
-        for topology in enumerate_full_topologies(6):
-            assert topology.plan is not None
-        exact._full_topology_index(6)
+    def test_search_needs_no_table_and_plans_only_the_trees_it_may_return(self, monkeypatch):
+        # a leaf minimizes the network its parent built: the table of full
+        # topologies is never read, and a plan is built only for a reduced
+        # tree (to validate it) or a returned tie
         calls = {"plans": 0, "reduced": 0}
 
         def build_plan(topology):
             calls["plans"] += 1
             return build_plan_original(topology)
 
-        def contract_collapsed(tree, lengths):
-            reduced = contract_original(tree, lengths)
+        def contract_collapsed(*args):
+            reduced = contract_original(*args)
             calls["reduced"] += reduced is not None
             return reduced
+
+        def no_table(n):
+            raise AssertionError("the search read the table of full topologies")
 
         build_plan_original, contract_original = trees._build_plan, exact._contract_collapsed
         monkeypatch.setattr(trees, "_build_plan", build_plan)
         monkeypatch.setattr(exact, "_contract_collapsed", contract_collapsed)
-        result = solve_exact(np.random.default_rng(5).uniform(0.0, 1.0, (6, 2)))
-        assert result.bounded > 0
-        assert calls["plans"] <= calls["reduced"]
+        monkeypatch.setattr(exact, "_full_topologies", no_table)
+        rng = np.random.default_rng(5)
+        cross = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]  # every optimum collapses onto t0
+        reduced, ties = 0, 0
+        for terminals in [rng.uniform(0.0, 1.0, (n, 2)) for n in (3, 4, 5, 6)] + [cross, regular_polygon(6)]:
+            calls.update(plans=0, reduced=0)
+            result = solve_exact(terminals)
+            assert calls["plans"] <= calls["reduced"] + len(result.ties)
+            reduced, ties = reduced + calls["reduced"], ties + len(result.ties)
+        assert reduced > 0 and ties > 6
 
     def test_uniform_n6_minimizes_fewer_topologies(self):
         result = solve_exact(np.random.default_rng(5).uniform(0.0, 1.0, (6, 2)))
@@ -563,16 +569,21 @@ class TestBranchAndBound:
         assert exact._mst_length(d) == pytest.approx(best, rel=1e-12)
 
 
+def contract_collapsed(tree: SteinerTree) -> SteinerTree | None:
+    pairs = tree.topology.plan.node_pairs()
+    return exact._contract_collapsed(tree.terminal_positions, tree.steiner_positions, pairs, trees.edge_vectors(tree)[1])
+
+
 class TestContractCollapsed:
     def test_merged_point_of_degree_four_is_rejected_before_building(self, monkeypatch):
         crossing = SteinerTopology(n=4, k=2, edges_TS={(0, 0), (2, 0), (1, 1), (3, 1)}, edges_S={(0, 1)})
         tree = exact.SteinerTree.from_arrays(crossing, [(0, 0), (1, 0), (1, 1), (0, 1)], [(0.5, 0.5), (0.5, 0.5)])
         monkeypatch.setattr(exact, "validate_topology", lambda topology: pytest.fail("built a rejected topology"))
-        assert exact._contract_collapsed(tree, exact.edge_vectors(tree)[1]) is None
+        assert contract_collapsed(tree) is None
 
     def test_merge_onto_a_terminal_still_builds_the_reduced_tree(self):
         tree = exact.SteinerTree.from_arrays(star3(), [(0, 0), (2, 0), (1, 0.05)], [(1, 0.05)])
-        reduced = exact._contract_collapsed(tree, exact.edge_vectors(tree)[1])
+        reduced = contract_collapsed(tree)
         assert reduced is not None and reduced.k == 0
         assert validate_topology(reduced.topology).ok
 
@@ -646,7 +657,7 @@ class TestDualCertificate:
         checked = 0
         for tree in optima:
             tf, centre, scale = exact._frame(tree.terminal_positions)
-            if exact.edge_vectors(tree)[1].min() < 1e-3 * scale:
+            if trees.edge_vectors(tree)[1].min() < 1e-3 * scale:
                 continue
             A, c = exact._network(tf, tree.k, tree.topology.plan.node_pairs())
             bound = exact._dual_bound(A, c, (tree.steiner_positions - centre) / scale) * scale

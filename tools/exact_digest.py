@@ -33,9 +33,14 @@ message. After each solve corpus's digests the script prints the search's
 summed ``minimized``, ``bounded``, ``pruned``, ``unconverged`` and
 ``certified`` counts, the corpus's wall time and its slowest single solve
 (the input's index in the corpus and its seconds), so a stall shows without
-a profiler; they stay outside the hashes.
+a profiler. It also prints the corpus's summed solver work: calls of the
+reweighted step (``exact._irls_step``, one per step of a stack of networks)
+and of the Newton Hessian assembly (``exact._hessian``). Those two counts
+are exact, so they compare two solvers' work where wall time is too noisy.
+All of this stays outside the hashes.
 """
 
+import contextlib
 import hashlib
 import math
 import os
@@ -49,6 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from steineradapt import exact  # noqa: E402
 from steineradapt import (  # noqa: E402
     SteinerTopology,
     canonical_encoding,
@@ -106,17 +112,42 @@ def edge_bytes(topology: SteinerTopology) -> bytes:
 
 
 WORK = ("minimized", "bounded", "pruned", "unconverged", "certified")
+# solver functions whose calls are counted, by the label they are printed under
+COUNTED = {"reweighted_steps": "_irls_step", "newton_hessians": "_hessian"}
+
+
+@contextlib.contextmanager
+def counting_calls(calls: dict):
+    """Count, under each label of ``COUNTED``, the calls of its function in ``exact``."""
+    originals = {name: getattr(exact, name) for name in COUNTED.values()}
+
+    def counter(label: str, original):
+        def counted(*args):
+            calls[label] += 1
+            return original(*args)
+
+        return counted
+
+    for label, name in COUNTED.items():
+        setattr(exact, name, counter(label, originals[name]))
+    try:
+        yield
+    finally:
+        for name, original in originals.items():
+            setattr(exact, name, original)
 
 
 def solve_digest(instances: list) -> tuple[int, str, str, str]:
     digest, combinatorial = hashlib.sha256(), hashlib.sha256()
     work = dict.fromkeys(WORK, 0)
+    calls = dict.fromkeys(COUNTED, 0)
     start = time.perf_counter()
     slowest = (0.0, -1)
     for index, terminals in enumerate(instances):
         began = time.perf_counter()
         try:
-            result = solve_exact(terminals)
+            with counting_calls(calls):
+                result = solve_exact(terminals)
         except (ValueError, RuntimeError) as error:
             digest.update(repr(error).encode())
             combinatorial.update(repr(error).encode())
@@ -130,7 +161,7 @@ def solve_digest(instances: list) -> tuple[int, str, str, str]:
             digest.update(edge_bytes(tie.topology))
             digest.update(tie.steiner_positions.tobytes())
         combinatorial.update(repr([canonical_encoding(tie.topology) for tie in result.ties]).encode())
-    summary = " ".join(f"{name} {count}" for name, count in work.items())
+    summary = " ".join(f"{name} {count}" for name, count in {**work, **calls}.items())
     wall = f"in {time.perf_counter() - start:.1f} s, slowest input {slowest[1]} in {slowest[0]:.3f} s"
     return len(instances), digest.hexdigest(), combinatorial.hexdigest(), f"{summary} {wall}"
 
