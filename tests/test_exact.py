@@ -470,7 +470,7 @@ class TestBranchAndBound:
     def test_property_equal_to_exhaustive(self, terminals):
         assert_bitwise_equal(solve_exact(terminals), exhaustive_solve(terminals))
 
-    def test_search_needs_no_table_and_plans_only_the_trees_it_may_return(self, monkeypatch):
+    def test_search_needs_no_table_and_plans_only_trees_it_may_return(self, monkeypatch):
         # a leaf minimizes the network its parent built: the table of full
         # topologies is never read, and a plan is built only for a reduced
         # tree (to validate it) or a returned tie
