@@ -196,8 +196,15 @@ def _hessian(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _newton(A, c, s, grad_tol, max_steps):
-    """Polish with damped Newton steps, accepting on gradient-norm decrease."""
-    g, gnorm, *_ = _gradient(A, c, s)
+    """Polish with damped Newton steps, accepting on gradient-norm decrease.
+
+    A damped step that leaves a contractible edge shorter than both the
+    contraction trigger and half its length at the start ends the burst
+    unconverged: the optimum is collapsing that edge, where the objective is
+    not smooth, and :func:`_minimize` contracts it next.
+    """
+    g, gnorm, _, d = _gradient(A, c, s)
+    collapsing = np.where(A.any(axis=1), np.minimum(_CONTRACT_TRIGGER, 0.5 * d), 0.0)
     steps = 0
     while steps < max_steps:
         if gnorm < grad_tol:
@@ -211,14 +218,14 @@ def _newton(A, c, s, grad_tol, max_steps):
         improved = False
         for _ in range(10):
             s_try = s + lam * delta
-            g_try, gnorm_try, *_ = _gradient(A, c, s_try)
+            g_try, gnorm_try, _, d = _gradient(A, c, s_try)
             if gnorm_try < gnorm * (1.0 - 0.25 * lam) or gnorm_try < grad_tol:
                 s, g, gnorm = s_try, g_try, gnorm_try
                 improved = True
                 break
             lam *= 0.5
         steps += 1
-        if not improved:
+        if not improved or (lam < 1.0 and gnorm >= grad_tol and (d < collapsing).any()):
             break
     return s, gnorm, steps, gnorm < grad_tol
 

@@ -35,7 +35,7 @@ from conftest import RECT_TERMINALS, RECT_TOPOLOGY
 # that solve_exact returns, the low bits of the exact solver's positions too.
 # Bits of the health checks' eigenvalues depend on the numpy build, which was
 # numpy 2.4.6 (x86-64, scipy-openblas).
-PURE_REPORTS_SHA256 = "bdeebb9d00e25173cffe1a9196209ef4b24e2588f78d5dc08362aead83bad62b"
+PURE_REPORTS_SHA256 = "0b07f8d7b28c1c9db7c1074baaee025beef8275bfad4a5fc8ddaf982c5094396"
 
 
 def pure_reports() -> list:

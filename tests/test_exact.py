@@ -322,6 +322,62 @@ class TestNetworkContraction:
         assert np.abs(result.tree.steiner_array() - 0.5).max() < 1e-12
 
 
+def counted_hessians(monkeypatch) -> list:
+    """Counts the calls of ``exact._hessian`` made from now on."""
+    calls = []
+    original = exact._hessian
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(exact, "_hessian", counting)
+    return calls
+
+
+class TestCollapseExit:
+    """A Newton burst stops at the first damped step that leaves a contractible
+    edge under both the contraction trigger and half its starting length."""
+
+    CROSSING = SteinerTopology(n=4, k=2, edges_TS={(0, 0), (2, 0), (1, 1), (3, 1)}, edges_S={(0, 1)})
+    SQUARE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+
+    def test_a_burst_heading_for_a_merge_exits_within_two_hessians(self, monkeypatch):
+        tf, centre, scale = exact._frame(self.SQUARE)
+        A, c = exact._network(tf, 2, self.CROSSING.plan.node_pairs())
+        start = (np.array([(0.3, 0.4), (0.7, 0.6)]) - centre) / scale
+        hessians = counted_hessians(monkeypatch)
+        s, gnorm, steps, converged = exact._newton(A, c, start, 1e-10, 30)
+        assert not converged and gnorm > 1e-10
+        assert len(hessians) == steps <= 2
+        # the row joining the two Steiner points is the one collapsing
+        before, after = (np.hypot(*(A[-1] @ x)) for x in (start, s))
+        assert after < min(exact._CONTRACT_TRIGGER, 0.5 * before)
+
+    @pytest.mark.parametrize("start", [[(0.0, 0.5), (1.0, 0.5)], [(0.54, 0.94), (0.82, 0.0)]])
+    def test_the_contraction_still_finds_the_merged_optimum(self, start):
+        # from these starts the first burst runs in the uncontracted network and exits
+        result = optimize_fixed_topology(self.SQUARE, self.CROSSING, start)
+        assert result.converged
+        assert result.collapsed_edges == {(NodeRef.steiner(0), NodeRef.steiner(1))}
+        assert np.abs(result.tree.steiner_array() - 0.5).max() < 1e-12
+
+    def test_a_smooth_optimum_with_an_edge_under_the_trigger_converges_in_one_burst(self):
+        # the optimum's Steiner-Steiner edge is 0.01 long, 0.005 of the diagonal;
+        # from one Steiner point raised by 1e-3 the first step is damped and
+        # leaves that edge under the trigger but not under half its start
+        h = math.sqrt(3) * 0.99
+        t = np.array([(0, 0), (0, h), (1, 0), (1, h)])
+        rectangle = SteinerTopology(n=4, k=2, edges_TS={(0, 0), (1, 0), (2, 1), (3, 1)}, edges_S={(0, 1)})
+        optimum = np.array([(h / (2 * math.sqrt(3)), h / 2), (1 - h / (2 * math.sqrt(3)), h / 2)])
+        tf, centre, scale = exact._frame(t)
+        A, c = exact._network(tf, 2, rectangle.plan.node_pairs())
+        assert 0.01 / scale < exact._CONTRACT_TRIGGER
+        s, gnorm, steps, converged = exact._newton(A, c, (optimum + [(0, 1e-3), (0, 0)] - centre) / scale, 1e-10, 30)
+        assert converged and gnorm < 1e-10
+        assert np.abs(s * scale + centre - optimum).max() < 1e-12
+
+
 class TestEnumerationCache:
     def test_mutating_a_returned_list_leaves_the_next_call_alone(self):
         first = enumerate_full_topologies(5)
@@ -530,10 +586,10 @@ class TestBranchAndBound:
         assert (result.minimized, result.bounded, result.pruned, result.unconverged) == (0, 0, 0, 0)
 
     def test_unconverged_topologies_are_counted(self):
-        # a budget of 12 iterations leaves some topologies of this instance unconverged
+        # a budget of 9 iterations leaves some topologies of this instance unconverged
         terminals = np.random.default_rng(12).uniform(0.0, 1.0, (5, 2))
-        result = solve_exact(terminals, max_iterations=12)
-        oracle = exhaustive_solve(terminals, max_iterations=12)
+        result = solve_exact(terminals, max_iterations=9)
+        oracle = exhaustive_solve(terminals, max_iterations=9)
         assert 0 < result.unconverged <= oracle.unconverged
         assert result.minimized + result.pruned == 15
         assert_bitwise_equal(result, oracle)

@@ -25,8 +25,9 @@ oracle for such a change.
   full topology and a random start, then the crossing topology on the unit
   square, whose optimum merges two free Steiner points. Hashed: the
   positions, ``gradient_norm``, ``iterations``, ``collapsed_edges`` and
-  ``converged``. Combinatorial: ``iterations``, ``converged`` and
-  ``collapsed_edges``.
+  ``converged``. Combinatorial: ``converged`` and ``collapsed_edges`` only,
+  so a change that moves only iteration counts keeps it; the summed
+  ``iterations`` are printed beside it.
 
 A solve that raises is hashed, in both digests, by its exception's type and
 message. After each solve corpus's digests the script prints the search's
@@ -34,10 +35,11 @@ summed ``minimized``, ``bounded``, ``pruned``, ``unconverged`` and
 ``certified`` counts, the corpus's wall time and its slowest single solve
 (the input's index in the corpus and its seconds), so a stall shows without
 a profiler. It also prints the corpus's summed solver work: calls of the
-reweighted step (``exact._irls_step``, one per step of a stack of networks)
-and of the Newton Hessian assembly (``exact._hessian``). Those two counts
-are exact, so they compare two solvers' work where wall time is too noisy.
-All of this stays outside the hashes.
+reweighted step (``exact._irls_step``, one per step of a stack of networks),
+of the Newton Hessian assembly (``exact._hessian``), and of the Newton
+burst (``exact._newton``), all of them and those that return unconverged.
+These counts are exact, so they compare two solvers' work where wall time
+is too noisy. All of this stays outside the hashes.
 """
 
 import contextlib
@@ -112,24 +114,34 @@ def edge_bytes(topology: SteinerTopology) -> bytes:
 
 
 WORK = ("minimized", "bounded", "pruned", "unconverged", "certified")
-# solver functions whose calls are counted, by the label they are printed under
-COUNTED = {"reweighted_steps": "_irls_step", "newton_hessians": "_hessian"}
+# solver functions whose calls are counted, by the label they are printed under,
+# with the test a call's result must pass to count (None: every call counts)
+COUNTED = {
+    "reweighted_steps": ("_irls_step", None),
+    "newton_hessians": ("_hessian", None),
+    "newton_bursts": ("_newton", None),
+    "newton_failed": ("_newton", lambda result: not result[3]),
+}
 
 
 @contextlib.contextmanager
 def counting_calls(calls: dict):
-    """Count, under each label of ``COUNTED``, the calls of its function in ``exact``."""
-    originals = {name: getattr(exact, name) for name in COUNTED.values()}
+    """Count, under each label of ``COUNTED``, the calls of its function in ``exact`` that pass its test."""
+    originals = {name: getattr(exact, name) for name, _ in COUNTED.values()}
 
-    def counter(label: str, original):
+    def counter(name: str, original):
+        tests = [(label, test) for label, (counted_name, test) in COUNTED.items() if counted_name == name]
+
         def counted(*args):
-            calls[label] += 1
-            return original(*args)
+            result = original(*args)
+            for label, test in tests:
+                calls[label] += test is None or test(result)
+            return result
 
         return counted
 
-    for label, name in COUNTED.items():
-        setattr(exact, name, counter(label, originals[name]))
+    for name, original in originals.items():
+        setattr(exact, name, counter(name, original))
     try:
         yield
     finally:
@@ -166,18 +178,20 @@ def solve_digest(instances: list) -> tuple[int, str, str, str]:
     return len(instances), digest.hexdigest(), combinatorial.hexdigest(), f"{summary} {wall}"
 
 
-def optimize_digest() -> tuple[int, str, str, None]:
+def optimize_digest() -> tuple[int, str, str, str]:
     digest, combinatorial = hashlib.sha256(), hashlib.sha256()
     runs = optimize_runs()
+    iterations = 0
     for terminals, topology, start in runs:
         result = optimize_fixed_topology(terminals, topology, start)
         collapsed = repr(sorted((str(a), str(b)) for a, b in result.collapsed_edges)).encode()
         digest.update(result.tree.steiner_positions.tobytes())
         digest.update(struct.pack("<dq?", result.gradient_norm, result.iterations, result.converged))
         digest.update(collapsed)
-        combinatorial.update(struct.pack("<q?", result.iterations, result.converged))
+        combinatorial.update(struct.pack("<?", result.converged))
         combinatorial.update(collapsed)
-    return len(runs), digest.hexdigest(), combinatorial.hexdigest(), None
+        iterations += result.iterations
+    return len(runs), digest.hexdigest(), combinatorial.hexdigest(), f"iterations {iterations}"
 
 
 def main() -> None:
@@ -190,8 +204,7 @@ def main() -> None:
         count, hexdigest, combinatorial, summary = compute()
         print(f"{name:<24} {count:>5} results  sha256 {hexdigest}")
         print(f"{'':<24} combinatorial  sha256 {combinatorial}")
-        if summary:
-            print(f"{'':<24} {summary}", flush=True)
+        print(f"{'':<24} {summary}", flush=True)
 
 
 if __name__ == "__main__":
