@@ -489,9 +489,15 @@ def compare_topologies(a: SteinerTopology, b: SteinerTopology) -> bool:
 def _seed_positions(A: np.ndarray, c: np.ndarray, salt: int) -> np.ndarray:
     """Deterministic start: each Steiner point at the (unit-weight) average of
     its neighbors, plus a small seeded jitter to break symmetric degeneracies."""
-    base = np.linalg.solve(A.T @ A, -(A.T @ c))
-    rng = np.random.default_rng(0x5EED + salt)
-    return base + rng.normal(scale=1e-3, size=base.shape)
+    return np.linalg.solve(A.T @ A, -(A.T @ c)) + _jitter(A.shape[1], salt)
+
+
+@functools.cache
+def _jitter(k: int, salt: int) -> np.ndarray:
+    """The seed's jitter for k Steiner points, drawn once per (k, salt) and kept read-only."""
+    jitter = np.random.default_rng(0x5EED + salt).normal(scale=1e-3, size=(k, 2))
+    jitter.flags.writeable = False
+    return jitter
 
 
 def _contract_collapsed(t: np.ndarray, s: np.ndarray, ends, lengths: np.ndarray) -> SteinerTree | None:
