@@ -195,16 +195,16 @@ def _hessian(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.einsum("ei,ej,eab->iajb", A, A, proj).reshape(2 * nfree, 2 * nfree)
 
 
-def _newton(A, c, s, grad_tol, max_steps):
+def _newton(A, c, s, contractible, grad_tol, max_steps):
     """Polish with damped Newton steps, accepting on gradient-norm decrease.
 
-    A damped step that leaves a contractible edge shorter than both the
+    A damped step that leaves a ``contractible`` edge shorter than both the
     contraction trigger and half its length at the start ends the burst
     unconverged: the optimum is collapsing that edge, where the objective is
     not smooth, and :func:`_minimize` contracts it next.
     """
     g, gnorm, _, d = _gradient(A, c, s)
-    collapsing = np.where(A.any(axis=1), np.minimum(_CONTRACT_TRIGGER, 0.5 * d), 0.0)
+    collapsing = np.where(contractible, np.minimum(_CONTRACT_TRIGGER, 0.5 * d), 0.0)
     steps = 0
     while steps < max_steps:
         if gnorm < grad_tol:
@@ -319,7 +319,7 @@ def _minimize(A: np.ndarray, c: np.ndarray, s0: np.ndarray, grad_tol: float, bud
         if newton_cooldown > 0:
             newton_cooldown -= 1
         elif it >= 2 and float(d.min()) > 1e-7:
-            s, gnorm, used, ok = _newton(A, c, s, grad_tol, min(30, budget - it))
+            s, gnorm, used, ok = _newton(A, c, s, contractible, grad_tol, min(30, budget - it))
             it += used
             if ok:
                 return s, gnorm, it, True

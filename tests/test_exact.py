@@ -347,7 +347,7 @@ class TestCollapseExit:
         A, c = exact._network(tf, 2, self.CROSSING.plan.node_pairs())
         start = (np.array([(0.3, 0.4), (0.7, 0.6)]) - centre) / scale
         hessians = counted_hessians(monkeypatch)
-        s, gnorm, steps, converged = exact._newton(A, c, start, 1e-10, 30)
+        s, gnorm, steps, converged = exact._newton(A, c, start, A.any(axis=1), 1e-10, 30)
         assert not converged and gnorm > 1e-10
         assert len(hessians) == steps <= 2
         # the row joining the two Steiner points is the one collapsing
@@ -373,7 +373,8 @@ class TestCollapseExit:
         tf, centre, scale = exact._frame(t)
         A, c = exact._network(tf, 2, rectangle.plan.node_pairs())
         assert 0.01 / scale < exact._CONTRACT_TRIGGER
-        s, gnorm, steps, converged = exact._newton(A, c, (optimum + [(0, 1e-3), (0, 0)] - centre) / scale, 1e-10, 30)
+        start = (optimum + [(0, 1e-3), (0, 0)] - centre) / scale
+        s, gnorm, steps, converged = exact._newton(A, c, start, A.any(axis=1), 1e-10, 30)
         assert converged and gnorm < 1e-10
         assert np.abs(s * scale + centre - optimum).max() < 1e-12
 
