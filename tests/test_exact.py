@@ -322,19 +322,6 @@ class TestNetworkContraction:
         assert np.abs(result.tree.steiner_array() - 0.5).max() < 1e-12
 
 
-def counted_hessians(monkeypatch) -> list:
-    """Counts the calls of ``exact._hessian`` made from now on."""
-    calls = []
-    original = exact._hessian
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(exact, "_hessian", counting)
-    return calls
-
-
 class TestCollapseExit:
     """A Newton burst stops at the first damped step that leaves a contractible
     edge under both the contraction trigger and half its starting length."""
@@ -342,14 +329,14 @@ class TestCollapseExit:
     CROSSING = SteinerTopology(n=4, k=2, edges_TS={(0, 0), (2, 0), (1, 1), (3, 1)}, edges_S={(0, 1)})
     SQUARE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
 
-    def test_a_burst_heading_for_a_merge_exits_within_two_hessians(self, monkeypatch):
+    def test_a_burst_heading_for_a_merge_exits_within_two_hessians(self):
         tf, centre, scale = exact._frame(self.SQUARE)
         A, c = exact._network(tf, 2, self.CROSSING.plan.node_pairs())
         start = (np.array([(0.3, 0.4), (0.7, 0.6)]) - centre) / scale
-        hessians = counted_hessians(monkeypatch)
-        s, gnorm, steps, converged = exact._newton(A, c, start, A.any(axis=1), 1e-10, 30)
+        with mock.patch.object(exact, "_hessian", wraps=exact._hessian) as hessian:
+            s, gnorm, steps, converged = exact._newton(A, c, start, A.any(axis=1), 1e-10, 30)
         assert not converged and gnorm > 1e-10
-        assert len(hessians) == steps <= 2
+        assert hessian.call_count == steps <= 2
         # the row joining the two Steiner points is the one collapsing
         before, after = (np.hypot(*(A[-1] @ x)) for x in (start, s))
         assert after < min(exact._CONTRACT_TRIGGER, 0.5 * before)
